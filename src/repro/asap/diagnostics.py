@@ -10,13 +10,14 @@ the interested audience -- without touching protocol state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from repro.asap.arena import SOURCE_MASK, CacherSet
 from repro.asap.protocol import AsapSearch
 
-__all__ = ["CacheDiagnostics", "diagnose"]
+__all__ = ["CacheDiagnostics", "audience_coverage", "diagnose"]
 
 
 @dataclass(frozen=True)
@@ -65,35 +66,86 @@ class CacheDiagnostics:
         return "\n".join(lines)
 
 
+#: Per-byte popcount table for packed cacher bitsets.
+_POPCOUNT = np.unpackbits(
+    np.arange(256, dtype=np.uint8)[:, None], axis=1
+).sum(axis=1).astype(np.int64)
+
+
+def _packed_holders(algo: AsapSearch, source: int) -> np.ndarray:
+    """``cachers[source]`` as little-endian packed bits, either backend."""
+    if source not in algo.cachers:
+        return np.zeros((algo.overlay.n + 7) // 8, dtype=np.uint8)
+    holders = algo.cachers[source]
+    if isinstance(holders, CacherSet):
+        return holders.packed()
+    mask = np.zeros(algo.overlay.n, dtype=bool)
+    mask[list(holders)] = True
+    return np.packbits(mask, bitorder="little")
+
+
+def audience_coverage(
+    algo: AsapSearch, sources: Sequence[int]
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per source: live audience, audience members caching it, all holders.
+
+    The audience of ``s`` is every live node other than ``s`` whose
+    interests meet ``s``'s current topics.  Holders are read off the cacher
+    index: every cache holding ``s`` is a member of ``cachers[s]``, and
+    only those.  Sources are grouped by topic set, and each group's packed
+    cacher bitsets are ANDed with the group's packed audience mask in
+    chunks and popcounted array-at-a-time.  Returns three int64 arrays
+    aligned with ``sources``.
+    """
+    live = algo.overlay.live_mask
+    sources = np.asarray(sources, dtype=np.int64)
+    audience = np.zeros(sources.size, dtype=np.int64)
+    covered = np.zeros(sources.size, dtype=np.int64)
+    holders = np.zeros(sources.size, dtype=np.int64)
+    groups: Dict[frozenset, List[int]] = {}
+    for i, source in enumerate(sources.tolist()):
+        groups.setdefault(algo.store.topics(source), []).append(i)
+    chunk = 512  # bounds the popcount transients at n/8 * chunk * 8 bytes
+    for topics, idx in groups.items():
+        amask = algo._interest_mask(topics) & live
+        packed = np.packbits(amask, bitorder="little")
+        idx = np.asarray(idx, dtype=np.int64)
+        audience[idx] = np.count_nonzero(amask) - amask[sources[idx]]
+        for start in range(0, idx.size, chunk):
+            block = idx[start : start + chunk]
+            bits = np.stack(
+                [_packed_holders(algo, s) for s in sources[block].tolist()]
+            )
+            holders[block] = _POPCOUNT[bits].sum(axis=1)
+            covered[block] = _POPCOUNT[bits & packed].sum(axis=1)
+    return audience, covered, holders
+
+
 def diagnose(algo: AsapSearch) -> CacheDiagnostics:
     """Compute cache statistics for every node of an ASAP instance."""
     n = algo.overlay.n
-    sizes = np.array([len(algo.repos[v]) for v in range(n)], dtype=np.int64)
-    behind = sum(len(algo.repos[v].behind) for v in range(n))
+    repos = algo.repos
+    sizes = np.fromiter((len(repo) for repo in repos), dtype=np.int64, count=n)
     live = algo.overlay.live_mask
-    stale = sum(
-        1
-        for v in range(n)
-        for s in algo.repos[v].sources()
-        if not live[s]
-    )
+    if algo.arena is not None:
+        # One pass over the pair table's live (peer, source) -> row entries.
+        keys, rows = algo.arena.index.items()
+        behind = int(np.count_nonzero(algo.arena.behind[rows]))
+        stale = int(np.count_nonzero(~live[keys & SOURCE_MASK]))
+    else:
+        behind = sum(len(repo.behind) for repo in repos)
+        stale = sum(
+            1 for repo in repos for s in repo.sources() if not live[s]
+        )
 
     # Audience coverage: for each advertised sharer, what fraction of the
     # live nodes interested in its topics cache its ad?
-    coverages: List[float] = []
-    for source in range(n):
-        topics = algo.store.topics(source)
-        if not topics or not algo.store.is_sharer(source):
-            continue
-        audience = [
-            v
-            for v in range(n)
-            if v != source and live[v] and (set(topics) & algo.interests[v])
-        ]
-        if not audience:
-            continue
-        cached = sum(1 for v in audience if source in algo.repos[v])
-        coverages.append(cached / len(audience))
+    sharers = [
+        s for s in range(n) if algo.store.is_sharer(s) and algo.store.topics(s)
+    ]
+    audience, covered, _ = audience_coverage(algo, sharers)
+    reached = audience > 0
+    coverages = covered[reached] / audience[reached]
 
     return CacheDiagnostics(
         n_nodes=n,
@@ -103,5 +155,5 @@ def diagnose(algo: AsapSearch) -> CacheDiagnostics:
         max_entries=int(sizes.max()) if n else 0,
         behind_entries=behind,
         stale_source_entries=stale,
-        mean_source_coverage=float(np.mean(coverages)) if coverages else 0.0,
+        mean_source_coverage=float(np.mean(coverages)) if coverages.size else 0.0,
     )

@@ -39,7 +39,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.asap.ads import Ad, AdType
-from repro.asap.arena import AdsArena, ArenaRepository, CacherIndex
+from repro.asap.arena import AdsArena, ArenaRepository, CacherIndex, pair_key
 from repro.asap.delivery import AdForwarder, make_forwarder
 from repro.asap.repository import AdsRepository, CacheEntry
 from repro.asap.store import SourceFilterStore
@@ -174,7 +174,6 @@ class AsapSearch(SearchAlgorithm):
         self._interest_state = InterestState(interests)
         self._topic_members: Dict[int, np.ndarray] = {}
         self._interest_masks: Dict[frozenset, np.ndarray] = {}
-        self._interest_sets: Dict[frozenset, frozenset] = {}
         # compressed_filter_size is a pure function of (set bits, m) and m
         # is fixed per run; the ads-reply loop hits a handful of distinct
         # set-bit counts thousands of times.
@@ -183,10 +182,6 @@ class AsapSearch(SearchAlgorithm):
         # only changes when the source's version bumps, so the pair keys
         # the full n_set_bits -> compressed-size derivation.
         self._reply_size_memo: Dict[Tuple[int, int], float] = {}
-        # Every repo shares the run-level cache capacity; ``None`` (the
-        # default -- the paper's caches are unbounded) unlocks the
-        # eviction-free fast path in the batched receiver merge.
-        self._no_capacity = self.params.cache_capacity is None
 
     def set_tracer(self, tracer) -> None:
         """Attach a tracer to the protocol and its ad forwarder."""
@@ -216,15 +211,6 @@ class AsapSearch(SearchAlgorithm):
             self._interest_masks[topics] = mask
         return mask
 
-    def _interest_set(self, topics: frozenset) -> frozenset:
-        """The node ids behind :meth:`_interest_mask`, as a frozenset."""
-        nodes = self._interest_sets.get(topics)
-        if nodes is None:
-            mask = self._interest_mask(topics)
-            nodes = frozenset(np.nonzero(mask)[0].tolist())
-            self._interest_sets[topics] = nodes
-        return nodes
-
     def _disseminate(
         self, ad: Ad, now: float, budget: Optional[int] = None
     ) -> None:
@@ -238,12 +224,16 @@ class AsapSearch(SearchAlgorithm):
 
         The receiver merge runs array-at-a-time over the pooled repository
         state: the store version, source liveness and per-node interest
-        answers are identical for every receiver of one delivery, so they
-        are computed once and the per-receiver work collapses to the
-        version-merge branch of :meth:`AdsRepository.accept` inlined with
-        those invariants hoisted.  ``_disseminate_reference`` keeps the
-        one-``accept``-per-receiver loop as the differential oracle
-        (:func:`repro.sim.kernels.reference_mode` routes here to it).
+        answers are identical for every receiver of one delivery, so the
+        version-merge branch of :meth:`AdsRepository.accept` runs once over
+        the whole receiver array -- one pair-table lookup, bulk row
+        allocation for new entries, scatter writes of the entry columns.
+        Per receiver remain only capped-cache eviction (receivers pushed
+        over capacity) and repairs, which run in ``report.visited`` order
+        like the reference's, so ledger sums accumulate identically.
+        ``_disseminate_reference`` keeps the one-``accept``-per-receiver loop
+        as the differential oracle (:func:`repro.sim.kernels.reference_mode`
+        routes here to it).
         """
         if kernels.REFERENCE_ONLY or self.arena is None:
             # Reference mode, or an object-backed instance invoked outside
@@ -253,153 +243,82 @@ class AsapSearch(SearchAlgorithm):
             return
         report = self.forwarder.deliver(ad, now, budget=budget)
         src = ad.source
-        repos = self.repos
-        cachers_src = self.cachers[src]
-        ad_version = ad.version
-        ad_topics = ad.topics
-        # The receiver loops below are ``store_entry``/entry-proxy
-        # operations inlined against the pooled arrays (one topic-set
-        # interning per delivery, no per-receiver proxy objects) --
-        # value-identical, just without the dispatch.  Array handles are
-        # hoisted per branch, after any ``reserve`` that could grow them.
         arena = self.arena
-        code = arena.intern_topics(ad_topics)
-        # Invariant across the receiver loop: repairs read the store but
-        # nothing below writes it, and churn never interleaves mid-event.
-        behind_after = ad_version < self.store.version(src)
-        live_src = self.overlay.is_live(src)
-        repair_plan = None
+        index = arena.index
+        cachers_src = self.cachers[src]
+        code = arena.intern_topics(ad.topics)
+        varr = report.visited_arr
+        if varr is None:
+            varr = np.fromiter(report.visited, np.int64, len(report.visited))
+        # Invariant across the merge: repairs read the store but nothing
+        # below writes it, and churn never interleaves mid-event.
+        behind_after = ad.version < self.store.version(src)
+        # Every node holding an entry for ``src`` is a member of
+        # ``cachers[src]`` (every store pairs with an add, every drop with
+        # a discard), so one bitset gather finds the holders the ad reached.
+        holding = cachers_src.mask()
         if ad.ad_type is AdType.FULL:
-            interested = self._interest_mask(ad_topics)
-            if not behind_after and report.visited:
-                # Repair-free fast path (fresh full ad, the overwhelmingly
-                # common delivery): the only receivers that change state
-                # are the interested nodes plus existing holders (holders
-                # are always members of ``cachers[src]`` -- every entry
-                # store/remove updates it).  Per-receiver effects --
-                # including capped-cache evictions, which touch only the
-                # receiver's own repo and the victims' cacher bits -- are
-                # value-identical and order-independent, so the loop runs
-                # over the vectorised interest gather instead of the whole
-                # visited set.
-                varr = report.visited_arr
-                if varr is None:
-                    varr = np.fromiter(
-                        report.visited, np.int64, len(report.visited)
-                    )
-                uninterested_holders = cachers_src.difference(
-                    self._interest_set(ad_topics)
-                )
-                # Walk-based deliveries can revisit the source; the kernel
-                # gather drops it so the loop below needs no per-node guard
-                # (sources never cache themselves).
-                receivers = kernels.interested_receivers(
-                    varr, interested, exclude=src
-                ).tolist()
-                if uninterested_holders:
-                    visited_fs = report.visited
-                    receivers += [
-                        node
-                        for node in uninterested_holders
-                        if node in visited_fs
-                    ]
-                # Reserve the worst-case alloc burst up front so ``_grow``
-                # cannot swap the arrays out from under the hoisted handles.
-                arena.reserve(len(receivers))
-                a_version = arena.version
-                a_topics_code = arena.topics_code
-                a_cached_at = arena.cached_at
-                no_capacity = self._no_capacity
-                cachers = self.cachers
-                for node in receivers:
-                    repo = repos[node]
-                    slot = repo._slot
-                    row = slot.get(src)
-                    if row is None:
-                        row = arena.alloc()
-                        slot[src] = row
-                        if not no_capacity:
-                            repo._order_append(src, row)
-                    # Unconditional overwrite: storing a fresh entry and
-                    # replacing an existing entry's fields in place are
-                    # value-identical.
-                    a_version[row] = ad_version
-                    a_topics_code[row] = code
-                    a_cached_at[row] = now
-                    behind = repo.behind
-                    if behind:
-                        behind.discard(src)
-                    if not no_capacity and len(slot) > repo.capacity:
-                        for ev in repo._evict(protect=src):
-                            cachers[ev].discard(node)
-                cachers_src.update(receivers)
-            else:
-                for node in report.visited:
-                    if node == src:
-                        continue
-                    repo = repos[node]
-                    if src not in repo.entries and not interested[node]:
-                        continue
-                    repo.store_entry(src, ad_version, ad_topics, now)
-                    if behind_after:
-                        repo.behind.add(src)
-                    else:
-                        repo.behind.discard(src)
-                    cachers_src.add(node)
-                    if repo.capacity is not None:
-                        for evicted_source in repo._evict(protect=src):
-                            self.cachers[evicted_source].discard(node)
-                    if behind_after and live_src:
-                        if repair_plan is None:
-                            repair_plan = self._repair_plan(src)
-                        self._repair_entry(node, src, now, plan=repair_plan)
+            # Interested receivers store the ad; holders merge it whatever
+            # their interests (a patch may have moved the source's topics).
+            # Walk deliveries can revisit the source, which never caches
+            # itself.
+            recv = kernels.interested_receivers(
+                varr, self._interest_mask(ad.topics) | holding, exclude=src
+            ).astype(np.int64)
+            rows, miss = index.lookup_or_insert(
+                pair_key(recv, src), arena.alloc_many
+            )
+            # Storing a fresh entry and overwriting an existing one's fields
+            # in place are value-identical.
+            arena.version[rows] = ad.version
+            arena.topics_code[rows] = code
+            arena.cached_at[rows] = now
+            arena.behind[rows] = behind_after
+            cachers_src.update(recv)
+            new_holders = recv[miss]
+            arena.mirrors.append_many(new_holders, src, rows[miss])
+            capacity = self.params.cache_capacity
+            if capacity is not None:
+                # Only a new entry can push a cache over its capacity, and
+                # by exactly one: one eviction per such receiver.
+                over = new_holders[arena.mirrors.size[new_holders] > capacity]
+                victims = arena.evict_oldest(over, capacity)
+                for node, ev in zip(over.tolist(), victims.tolist()):
+                    self.cachers[ev].discard(node)
+            lagging = recv if behind_after else recv[:0]
         else:
-            is_patch = ad.ad_type is AdType.PATCH
-            # No allocations happen in this branch (patches/refreshes only
-            # mutate existing rows; repair pulls reuse the row in place),
-            # so the handles stay valid for the whole loop.
-            a_version = arena.version
-            a_topics_code = arena.topics_code
-            a_cached_at = arena.cached_at
+            # Only holders react to patches and refreshes.
+            holders = varr[holding[varr]].astype(np.int64)
+            rows = index.lookup(pair_key(holders, src))
+            held = rows >= 0
+            holders, rows = holders[held], rows[held]
+            version = arena.version[rows]
+            if ad.ad_type is AdType.PATCH:
+                succ = rows[version + 1 == ad.version]
+                gap = rows[version + 1 < ad.version]
+                arena.version[succ] = ad.version
+                arena.topics_code[succ] = code
+                arena.cached_at[succ] = now
+                arena.behind[succ] = behind_after
+                # A gap means missed patches; older patches carry nothing.
+                arena.cached_at[gap] = now
+                arena.behind[gap] = True
+            else:  # REFRESH: renew recency, detect missed patches
+                arena.cached_at[rows] = now
+                arena.behind[rows[version < ad.version]] = True
+            lagging = holders[arena.behind[rows]]
+        if lagging.size and self.overlay.is_live(src):
+            need = set(lagging.tolist())
+            plan = self._repair_plan(src)
             for node in report.visited:
-                if node not in cachers_src:
-                    # Only holders react to patches/refreshes, and every
-                    # holder is a member of ``cachers[src]`` -- one set
-                    # probe replaces the repo/entry lookup for the (large)
-                    # uninterested majority of the flood's receivers.
-                    continue
-                repo = repos[node]
-                row = repo._slot.get(src)
-                if row is None:
-                    # No base entry: patches and refreshes are no-ops (and
-                    # the source never caches itself).
-                    continue
-                if is_patch:
-                    held = a_version[row]
-                    if ad_version == held + 1:
-                        a_version[row] = ad_version
-                        a_topics_code[row] = code
-                        a_cached_at[row] = now
-                        if behind_after:
-                            repo.behind.add(src)
-                        else:
-                            repo.behind.discard(src)
-                    elif ad_version > held:
-                        repo.behind.add(src)
-                        a_cached_at[row] = now
-                else:  # REFRESH: renew recency, detect missed patches
-                    a_cached_at[row] = now
-                    if ad_version > a_version[row]:
-                        repo.behind.add(src)
-                cachers_src.add(node)
-                if live_src and src in repo.behind:
-                    if repair_plan is None:
-                        repair_plan = self._repair_plan(src)
-                    self._repair_entry(node, src, now, plan=repair_plan)
+                if node in need:
+                    self._repair_entry(node, src, now, plan=plan)
         if ad.ad_type is AdType.PATCH:
             # Cachers the delivery missed now lag the source's filter.
-            for node in cachers_src - set(report.visited):
-                repos[node].mark_behind(src)
+            missed = cachers_src.mask()
+            missed[varr] = False
+            rows = index.lookup(pair_key(np.flatnonzero(missed), src))
+            arena.behind[rows[rows >= 0]] = True
 
     def _disseminate_reference(
         self, ad: Ad, now: float, budget: Optional[int] = None
@@ -408,8 +327,8 @@ class AsapSearch(SearchAlgorithm):
 
         The pre-batching implementation, retained as the differential
         oracle for :meth:`_disseminate` (bit-identical cache, cachers,
-        behind-set and ledger state by construction -- the batched loop is
-        ``accept`` inlined with delivery-invariant lookups hoisted).
+        behind-set and ledger state: the batched merge is ``accept``
+        applied to the whole receiver array).
         """
         report = self.forwarder.deliver(ad, now, budget=budget)
         for node in report.visited:
@@ -686,35 +605,27 @@ class AsapSearch(SearchAlgorithm):
         lists sources the requester just disproved by confirmation -- they
         travel in the request digest, so neighbours do not send them back.
 
-        The per-neighbour merge loop is the batched implementation:
-        :meth:`AdsRepository.accept_snapshot` and ``interested_in`` are
-        inlined with the requester-side invariants (interest set, entry
-        dict, store handles) hoisted, and the compressed-filter reply size
-        is memoized per set-bit count.  ``_ads_request_reference`` keeps
-        the method-call-per-ad loop as the differential oracle.
+        Each neighbour's reply merges as one batch: the novel set is the
+        neighbour's mirror minus a per-request mask of what the requester
+        knows, the interest filter one gather over per-topic-code answers,
+        and :meth:`_store_novel` copies the entries neighbour row -> own
+        row with bulk allocation and scatter writes, evicting from a capped
+        cache exactly as one :meth:`AdsRepository.accept_snapshot` per ad
+        would.  The compressed-filter reply size is memoized per
+        ``(source, version)``.
+        ``_ads_request_reference`` keeps the method-call-per-ad loop as the
+        differential oracle.
         """
         if kernels.REFERENCE_ONLY or self.arena is None:
             return self._ads_request_reference(
                 node, now, exclude=exclude, positions=positions
             )
-        exclude = exclude or set()
         repo = self.repos[node]
         repos = self.repos
-        repo_interests = repo.interests
-        repo_behind = repo.behind
-        repo_capacity = repo.capacity
         store = self.store
         store_version = store._version
-        # Hoisted arena handles: the novel-ad merge below reads and writes
-        # the pooled arrays directly (no per-ad entry proxies, topic codes
-        # copied neighbour-row -> own-row without re-interning).  Array
-        # handles are re-fetched per neighbour after reserving the
-        # worst-case alloc burst, since ``_grow`` replaces the arrays.
         arena = self.arena
-        topics_list = arena._topics_list
-        arena_alloc = arena.alloc
-        repo_slot = repo._slot
-        cachers = self.cachers
+        index = arena.index
         ad_header = self.sizes.ad_header
         filter_bits = store.hasher.m
         size_memo = self._filter_size_memo
@@ -732,6 +643,18 @@ class AsapSearch(SearchAlgorithm):
         current_match = (
             store.match_current(positions) if positions is not None else None
         )
+        # What a neighbour's reply leaves out: sources the requester caches,
+        # has just disproved, or is.  ``known`` tracks the cached part as
+        # the merge stores and evicts.
+        static = np.zeros(len(repos), dtype=bool)
+        static[list(exclude or ())] = True
+        static[node] = True
+        known = static.copy()
+        known[repo._pairs()[0]] = True
+        # ``interesting[code]``: does the requester's interest set meet
+        # interned topic set ``code``?  Nothing below interns a new set, so
+        # one answer per code serves every neighbour.
+        interesting = None
         for nbr, one_way in neighbors:
             n_messages += 1
             total_bytes += request_size
@@ -739,56 +662,40 @@ class AsapSearch(SearchAlgorithm):
             ledger.record(
                 now, TrafficCategory.ADS_REQUEST, request_size, messages=1
             )
-            nbr_slot = repos[nbr]._slot
             if positions is None:
-                offered = nbr_slot.keys() - repo_slot.keys()
+                offered, nrows = repos[nbr]._pairs()
             else:
-                offered = set(repos[nbr].lookup(positions, current_match))
-                offered -= repo_slot.keys()
-            if exclude:
-                offered -= exclude
-            offered.discard(node)
-            novel = sorted(offered)
-            arena.reserve(len(novel))
-            a_version = arena.version
-            a_topics_code = arena.topics_code
-            a_cached_at = arena.cached_at
+                offered = np.asarray(
+                    repos[nbr].lookup(positions, current_match), dtype=np.int64
+                )
+                nrows = None
+            pick = np.flatnonzero(~known[offered])
+            # In source order, like the reference's ``sorted(offered - mine)``.
+            pick = pick[np.argsort(offered[pick], kind="stable")]
+            novel = offered[pick].astype(np.int64)
+            if novel.size:
+                if nrows is None:
+                    nrows = index.lookup(pair_key(nbr, novel))
+                else:
+                    nrows = nrows[pick]
+                codes = arena.topics_code[nrows]
+                if interesting is None:
+                    interests = repo.interests
+                    interesting = np.fromiter(
+                        (not interests.isdisjoint(t) for t in arena._topics_list),
+                        dtype=bool,
+                        count=len(arena._topics_list),
+                    )
+                keep = interesting[codes]
+                novel, nrows, codes = novel[keep], nrows[keep], codes[keep]
+                known[novel] = True
+                evicted = self._store_novel(
+                    repo, novel, arena.version[nrows], codes, now
+                )
+                known[evicted] = static[evicted]
             reply_bytes = float(ad_header)  # reply envelope
             rtt = 2.0 * one_way
-            for s in novel:
-                row = nbr_slot[s]
-                code = a_topics_code[row]
-                topics = topics_list[code]
-                if repo_interests.isdisjoint(topics):
-                    continue
-                # accept_snapshot, inlined: ``s != node`` and interest
-                # already hold, and ``s`` is novel so there is no stale
-                # same-version entry to renew unless a previous neighbour
-                # in this very loop stored one.
-                version = a_version[row]
-                mine_row = repo_slot.get(s)
-                if mine_row is not None and a_version[mine_row] >= version:
-                    a_cached_at[mine_row] = now
-                    stored = False
-                    evicted: List[int] = []
-                else:
-                    if mine_row is None:
-                        repo_slot[s] = mine_row = arena_alloc()
-                        if repo_capacity is not None:
-                            repo._order_append(s, mine_row)
-                    a_version[mine_row] = version
-                    a_topics_code[mine_row] = code
-                    a_cached_at[mine_row] = now
-                    if version < store_version[s]:
-                        repo_behind.add(s)
-                    else:
-                        repo_behind.discard(s)
-                    stored = True
-                    evicted = (
-                        repo._evict(protect=s)
-                        if repo_capacity is not None
-                        else []
-                    )
+            for s in novel.tolist():
                 # The reply carries the source's *current* filter; its
                 # set-bit count -- and therefore the compressed size -- can
                 # only change when the source's version bumps, so (s,
@@ -803,12 +710,8 @@ class AsapSearch(SearchAlgorithm):
                         size_memo[n_set] = size
                     reply_size_memo[size_key] = size
                 reply_bytes += ad_header + size
-                if stored:
-                    cachers[s].add(node)
-                    for ev in evicted:
-                        cachers[ev].discard(node)
-                    if s not in new_sources or rtt < new_sources[s]:
-                        new_sources[s] = rtt
+                if s not in new_sources or rtt < new_sources[s]:
+                    new_sources[s] = rtt
             n_messages += 1
             total_bytes += reply_bytes
             ledger.record(
@@ -837,6 +740,66 @@ class AsapSearch(SearchAlgorithm):
                 reply_bytes=total_bytes - request_total,
             )
         return new_sources, n_messages, total_bytes
+
+
+    def _store_novel(
+        self,
+        repo: ArenaRepository,
+        sources: np.ndarray,
+        versions: np.ndarray,
+        codes: np.ndarray,
+        now: float,
+    ) -> np.ndarray:
+        """Store ads-reply entries ``repo`` holds no entry for.
+
+        The reference stores the ads one by one, each followed by an LRU
+        eviction that spares it.  Every new entry carries ``now``, the
+        latest timestamp, and enters after every held entry, so those
+        evictions take exactly the first ``excess`` entries of the stable
+        timestamp order over the held entries then the new ones -- never an
+        ad not yet stored, nor the one just stored.  So one batch does it:
+        evict that prefix, then bulk-store the surviving new ads.  Returns
+        the evicted sources (new ones included: stored, then evicted).
+        """
+        evicted = sources[:0]
+        if not sources.size:
+            return evicted
+        arena = self.arena
+        node = repo.owner
+        cachers = self.cachers
+        excess = 0
+        if repo.capacity is not None:
+            excess = len(repo) + sources.size - repo.capacity
+        if excess > 0:
+            held, held_rows = repo._pairs()
+            ts = np.concatenate(
+                [arena.cached_at[held_rows], np.full(sources.size, now)]
+            )
+            pick = np.argsort(ts, kind="stable")[:excess]
+            old = pick[pick < held.size]
+            fresh = pick[pick >= held.size] - held.size
+            gone, gone_rows = held[old].astype(np.int64), held_rows[old]
+            evicted = np.concatenate([gone, sources[fresh]])
+            kept = np.ones(held.size, dtype=bool)
+            kept[old] = False
+            arena.mirrors.keep(node, kept)
+            arena.index.delete_many(pair_key(node, gone))
+            arena.release_many(gone_rows)
+            for ev in gone.tolist():
+                cachers[ev].discard(node)
+            stays = np.ones(sources.size, dtype=bool)
+            stays[fresh] = False
+            sources, versions, codes = sources[stays], versions[stays], codes[stays]
+        rows = arena.alloc_many(sources.size)
+        arena.index.insert_many(pair_key(node, sources), rows)
+        arena.mirrors.extend(node, sources, rows)
+        arena.version[rows] = versions
+        arena.topics_code[rows] = codes
+        arena.cached_at[rows] = now
+        arena.behind[rows] = versions < self.store._version[sources]
+        for s in sources.tolist():
+            cachers[s].add(node)
+        return evicted
 
     def _ads_request_reference(
         self,

@@ -16,7 +16,7 @@ one deterministic snapshot per tick:
   it implies, against the paper's ``(1/2)^k`` ceiling (Section III-B);
 * **occupancy** -- per-node cache occupancy and eviction pressure
   (nodes pinned at capacity);
-* **backend** -- arena free-list / slot-index health and engine gauges
+* **backend** -- arena free-list / pair-index health and engine gauges
   (queue depth, cohort batch sizes, batched-kernel dispatch counters).
 
 Determinism contract.  Snapshots are read-only, consume no randomness, and
@@ -65,12 +65,6 @@ __all__ = [
 
 #: Bump when the snapshot/summary JSON shape changes.
 PROBE_SCHEMA_VERSION = 1
-
-#: Per-byte popcount table for packed cacher bitsets.
-_POPCOUNT = np.unpackbits(
-    np.arange(256, dtype=np.uint8)[:, None], axis=1
-).sum(axis=1).astype(np.int64)
-
 
 def pow2_sketch(values) -> LogBucketSketch:
     """A gamma-2 :class:`LogBucketSketch` built bit-deterministically.
@@ -136,21 +130,29 @@ def snapshot_state(algorithm, now: float) -> Dict[str, Any]:
     }
     if not _is_asap(algorithm):
         return state
+    # Imported here: repro.asap imports repro.obs (tracing, telemetry).
+    from repro.asap.arena import SOURCE_MASK
+    from repro.asap.diagnostics import audience_coverage
 
     repos = algorithm.repos
     store = algorithm.store
     n = int(overlay.n)
-    live_mask = overlay.live_mask
 
-    # --- per-entry series: one vectorized pass over the arena rows, or a
-    # gather over the reference entries -- same multiset, same sketch.
+    # --- per-entry series and staleness (behind counts + version lag over
+    # behind entries): one vectorized pass over the pair table's live
+    # (peer, source) -> row entries, or a gather over the reference
+    # entries.  Both series feed order-independent sketches, so the two
+    # paths only need the same multisets.
     arena = getattr(algorithm, "arena", None)
     if arena is not None:
-        top = arena._top
-        row_live = np.ones(top, dtype=bool)
-        if arena._free:
-            row_live[np.asarray(arena._free, dtype=np.int64)] = False
-        cached_at = arena.cached_at[:top][row_live]
+        keys, rows = arena.index.items()
+        cached_at = arena.cached_at[rows]
+        lagging = arena.behind[rows]
+        behind_total = int(np.count_nonzero(lagging))
+        lag = store._version[keys[lagging] & SOURCE_MASK] - arena.version[
+            rows[lagging]
+        ].astype(np.int64)
+        lags = lag[lag > 0].astype(np.float64)
     else:
         cached_at = np.asarray(
             [
@@ -160,36 +162,7 @@ def snapshot_state(algorithm, now: float) -> Dict[str, Any]:
             ],
             dtype=np.float64,
         )
-    entries_total = int(cached_at.size)
-    ages = now - cached_at
-
-    # --- staleness: behind counts + version lag over behind entries.
-    # Lag feeds an order-independent sketch, so both paths only need the
-    # same multiset; the arena path gathers (source, row) pairs and lets
-    # numpy do the subtraction instead of building entry wrappers.
-    behind_total = 0
-    if arena is not None:
-        src_idx: List[int] = []
-        row_idx: List[int] = []
-        for repo in repos:
-            behind = repo.behind
-            if not behind:
-                continue
-            behind_total += len(behind)
-            slot = repo._slot
-            common = behind & slot.keys()
-            src_idx.extend(common)
-            row_idx.extend(map(slot.__getitem__, common))
-        if src_idx:
-            lag = store._version[
-                np.asarray(src_idx, dtype=np.int64)
-            ] - arena.version[np.asarray(row_idx, dtype=np.int64)].astype(
-                np.int64
-            )
-            lags = lag[lag > 0].astype(np.float64)
-        else:
-            lags = np.zeros(0, dtype=np.float64)
-    else:
+        behind_total = 0
         lag_list: List[float] = []
         for repo in repos:
             behind_total += len(repo.behind)
@@ -201,6 +174,8 @@ def snapshot_state(algorithm, now: float) -> Dict[str, Any]:
                 if lag > 0:
                     lag_list.append(float(lag))
         lags = np.asarray(lag_list, dtype=np.float64)
+    entries_total = int(cached_at.size)
+    ages = now - cached_at
 
     # --- occupancy / eviction pressure.
     occupancy = np.fromiter((len(r) for r in repos), dtype=np.int64, count=n)
@@ -210,58 +185,16 @@ def snapshot_state(algorithm, now: float) -> Dict[str, Any]:
     )
 
     # --- coverage: replication factor + live-audience coverage per
-    # advertised sharer.  Sources are grouped by (interned) topic set --
-    # topic populations are tiny -- and each group's cacher bitsets are
-    # stacked into chunked uint8 matrices so the AND + popcount runs
-    # array-at-a-time on the arena backend.
-    cachers = algorithm.cachers
-    sources = audience_total = covered_total = holders_total = 0
-    replication: List[float] = []
-    fractions: List[float] = []
-    groups: Dict[frozenset, List[int]] = {}
-    for source in sorted(algorithm._advertised):
-        if not store.is_sharer(source):
-            continue
-        topics = store.topics(source)
-        if topics:
-            groups.setdefault(topics, []).append(source)
-    chunk = 512  # bounds the popcount transients at n/8 * chunk * 8 bytes
-    for topics, members in groups.items():
-        amask = algorithm._interest_mask(topics) & live_mask
-        packed = np.packbits(amask, bitorder="little")
-        mask_count = int(np.count_nonzero(amask))
-        m_arr = np.asarray(members, dtype=np.int64)
-        audience_vec = mask_count - amask[m_arr].astype(np.int64)
-        sources += len(members)
-        audience_total += int(audience_vec.sum())
-        holders_vec = np.zeros(len(members), dtype=np.int64)
-        covered_vec = np.zeros(len(members), dtype=np.int64)
-        if arena is not None:  # packed bitsets: vectorized popcount
-            stack = np.zeros((min(chunk, len(members)), packed.size), np.uint8)
-            for start in range(0, len(members), chunk):
-                block = members[start : start + chunk]
-                stack[: len(block)] = 0
-                for i, source in enumerate(block):
-                    if source in cachers:
-                        stack[i] = np.frombuffer(
-                            cachers[source]._bits, dtype=np.uint8
-                        )
-                sub = stack[: len(block)]
-                holders_vec[start : start + chunk] = _POPCOUNT[sub].sum(axis=1)
-                covered_vec[start : start + chunk] = _POPCOUNT[
-                    sub & packed
-                ].sum(axis=1)
-        else:  # plain sets (reference backend)
-            for i, source in enumerate(members):
-                if source in cachers:
-                    row = cachers[source]
-                    holders_vec[i] = len(row)
-                    covered_vec[i] = sum(1 for node in row if amask[node])
-        holders_total += int(holders_vec.sum())
-        covered_total += int(covered_vec.sum())
-        replication.extend(holders_vec.astype(np.float64).tolist())
-        pos = audience_vec > 0
-        fractions.extend((covered_vec[pos] / audience_vec[pos]).tolist())
+    # advertised sharer (see :func:`repro.asap.diagnostics.audience_coverage`).
+    advertised = [
+        source
+        for source in sorted(algorithm._advertised)
+        if store.is_sharer(source) and store.topics(source)
+    ]
+    audience, covered, holders = audience_coverage(algorithm, advertised)
+    reached = audience > 0
+    replication = holders.astype(np.float64)
+    fractions = covered[reached] / audience[reached]
 
     # --- bloom: filter fill and the FP probability it implies, computed
     # over the shared FilterMatrix counters (identical on both backends).
@@ -283,10 +216,10 @@ def snapshot_state(algorithm, now: float) -> Dict[str, Any]:
                 "per_node": pow2_sketch(occupancy).to_dict(),
             },
             "coverage": {
-                "sources": sources,
-                "audience": audience_total,
-                "covered": covered_total,
-                "holders": holders_total,
+                "sources": len(advertised),
+                "audience": int(audience.sum()),
+                "covered": int(covered.sum()),
+                "holders": int(holders.sum()),
                 "replication": pow2_sketch(replication).to_dict(),
                 "fraction": pow2_sketch(fractions).to_dict(),
             },
@@ -319,7 +252,9 @@ def snapshot_backend(algorithm, engine=None) -> Dict[str, Any]:
     if arena is not None:
         stats = dict(arena.stats())
         occupancy = sum(len(r) for r in algorithm.repos)
-        stats["slot_index_consistent"] = bool(stats["rows_live"] == occupancy)
+        stats["slot_index_consistent"] = bool(
+            stats["rows_live"] == occupancy == len(arena.index)
+        )
         backend["arena"] = stats
     if engine is not None:
         batch = engine.batch_stats()
@@ -342,40 +277,52 @@ def snapshot_backend(algorithm, engine=None) -> Dict[str, Any]:
 
 
 def check_arena_health(algorithm) -> Dict[str, Any]:
-    """Deep slot-index audit: every slot row live, unique, in-pool.
+    """Deep pair-index audit: table, mirrors and free-list agree.
 
     Used by the churn/recycling tests; O(entries), so not part of the
     periodic snapshot.  Returns a report dict with ``ok`` plus the
-    individual invariants (live-count == occupancy, no dangling slots,
-    no double-allocated rows, free rows disjoint from slots).
+    individual invariants: the table's live count, the arena's live rows
+    and the summed mirror lengths are one number; every mirrored
+    ``(peer, source)`` resolves through the table to its own mirrored row;
+    no row is mapped twice; every mapped row is in the pool and off the
+    free-list.
     """
     arena = getattr(algorithm, "arena", None)
     if arena is None:
         return {"ok": True, "backend": "reference"}
-    rows = [
-        row for repo in algorithm.repos for row in repo._slot.values()
-    ]
-    free = set(arena._free)
+    from repro.asap.arena import pair_key
+
+    _, rows = arena.index.items()
+    pairs = [(repo.owner, *repo._pairs()) for repo in algorithm.repos]
+    peers = np.concatenate(
+        [np.full(len(src), owner, dtype=np.int64) for owner, src, _ in pairs]
+    )
+    sources = np.concatenate([src for _, src, _ in pairs]).astype(np.int64)
+    mirrored = np.concatenate([row for _, _, row in pairs])
     stats = arena.stats()
-    occupancy = len(rows)
-    unique = len(set(rows))
-    in_pool = all(0 <= row < arena._top for row in rows)
-    disjoint = not any(row in free for row in rows)
+    occupancy = int(mirrored.size)
     report = {
         "backend": "arena",
         "rows_live": stats["rows_live"],
+        "table_live": len(arena.index),
         "occupancy": occupancy,
-        "live_matches_occupancy": stats["rows_live"] == occupancy,
-        "rows_unique": unique == occupancy,
-        "rows_in_pool": in_pool,
-        "free_disjoint": disjoint,
+        "live_matches_occupancy": (
+            stats["rows_live"] == occupancy == len(arena.index)
+        ),
+        "mirror_resolves": bool(
+            np.array_equal(arena.index.lookup(pair_key(peers, sources)), mirrored)
+        ),
+        "rows_unique": int(np.unique(rows).size) == int(rows.size),
+        "rows_in_pool": bool(((rows >= 0) & (rows < arena._top)).all()),
+        "free_disjoint": not bool(np.isin(rows, arena.free_rows()).any()),
         "free_list_depth": stats["free_list_depth"],
     }
     report["ok"] = bool(
         report["live_matches_occupancy"]
+        and report["mirror_resolves"]
         and report["rows_unique"]
-        and in_pool
-        and disjoint
+        and report["rows_in_pool"]
+        and report["free_disjoint"]
     )
     return report
 

@@ -241,32 +241,26 @@ def test_recorder_leaves_no_pending_events():
 
 
 # ------------------------------------------- arena health under churn
-def test_arena_health_under_churn_and_capped_caches():
-    asap = dataclasses.replace(
-        scaled_config(
-            "asap_rw",
-            "crawled",
-            n_peers=200,
-            n_queries=400,
-            seed=4,
-            use_physical_network=False,
-        ).asap,
-        cache_capacity=8,  # force eviction pressure -> free-list churn
+def _churned_run(capacity):
+    """A churning 200-peer ASAP(RW) run, its pair index audited every 12 s.
+
+    Returns ``(algo, engine, config, audits)`` after the horizon.
+    """
+    base = scaled_config(
+        "asap_rw",
+        "crawled",
+        n_peers=200,
+        n_queries=400,
+        seed=4,
+        use_physical_network=False,
     )
     cfg = dataclasses.replace(
-        scaled_config(
-            "asap_rw",
-            "crawled",
-            n_peers=200,
-            n_queries=400,
-            seed=4,
-            use_physical_network=False,
-        ),
-        asap=asap,
+        base,
+        # Capacity 8 forces eviction pressure -> free-list churn.
+        asap=dataclasses.replace(base.asap, cache_capacity=capacity),
         probe_interval_s=10.0,
     )
-    # Snapshot the live algorithm at end-of-run via the runner's probes,
-    # then audit the arena directly for the deep invariants.
+    # Drive the live algorithm by hand so the audit can run mid-run.
     from repro.sim.metrics import BandwidthLedger
     from repro.simulation.runner import build_algorithm
     from repro.network.topology import build_topology
@@ -318,11 +312,52 @@ def test_arena_health_under_churn_and_capped_caches():
     for t in np.arange(5.0, horizon, 12.0):
         engine.schedule_at(float(t), audit_now, name="health")
     engine.run(until=horizon)
+    return algo, engine, cfg, checked["n"]
 
-    assert checked["n"] > 5
+
+def _assert_index_and_diagnostics(algo):
+    """The pair-index audit holds, and ``diagnose`` equals a brute-force
+    recount over every repository (the O(n^2) loops it replaced)."""
+    from repro.asap.diagnostics import diagnose
+
     report = check_arena_health(algo)
     assert report["ok"], report
-    assert report["live_matches_occupancy"]
+    assert report["live_matches_occupancy"] and report["mirror_resolves"]
+    assert report["table_live"] == report["rows_live"] == report["occupancy"]
+
+    # Take a few cached sources offline so stale entries exist.
+    cached = sorted({int(s) for r in algo.repos for s in r.sources()})
+    for source in cached[:5]:
+        if algo.overlay.is_live(source):
+            algo.overlay.leave(source)
+    n = algo.overlay.n
+    live = algo.overlay.live_mask
+    coverages = []
+    for source in range(n):
+        topics = algo.store.topics(source)
+        if not topics or not algo.store.is_sharer(source):
+            continue
+        audience = [
+            v for v in range(n)
+            if v != source and live[v] and (set(topics) & algo.interests[v])
+        ]
+        if audience:
+            cached = sum(1 for v in audience if source in algo.repos[v])
+            coverages.append(cached / len(audience))
+    diag = diagnose(algo)
+    assert diag.total_entries == sum(len(r) for r in algo.repos)
+    assert diag.behind_entries == sum(len(r.behind) for r in algo.repos)
+    assert diag.stale_source_entries == sum(
+        1 for r in algo.repos for s in r.sources() if not live[s]
+    )
+    assert diag.mean_source_coverage == float(np.mean(coverages))
+    assert diag.stale_source_entries > 0
+
+
+def test_arena_health_under_churn_and_capped_caches():
+    algo, engine, cfg, audits = _churned_run(capacity=8)
+    assert audits > 5
+    _assert_index_and_diagnostics(algo)
     # Capped caches at capacity 8 over 200 peers must have evicted: the
     # free list saw traffic and rows were recycled rather than leaked.
     stats = algo.arena.stats()
@@ -335,6 +370,14 @@ def test_arena_health_under_churn_and_capped_caches():
     assert snap["occupancy"]["total"] == stats["rows_live"]
     assert snap["occupancy"]["max"] <= 8
     assert snap["occupancy"]["at_capacity"] > 0
+
+
+def test_arena_health_under_churn_unbounded_caches():
+    algo, engine, _, audits = _churned_run(capacity=None)
+    assert audits > 5
+    _assert_index_and_diagnostics(algo)
+    snap = snapshot_state(algo, engine.now)
+    assert snap["occupancy"]["total"] == len(algo.arena.index)
 
 
 def test_check_arena_health_reference_backend_is_trivial():

@@ -24,6 +24,7 @@ but take minutes, so the default suite keeps the same comparisons at
 
 import dataclasses
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from repro.asap.ads import Ad, AdType
 from repro.asap.arena import AdsArena, ArenaRepository, CacherIndex, CacherSet
 from repro.asap.repository import AdsRepository
 from repro.asap.store import SourceFilterStore
+from repro.obs.probes import check_arena_health
 from repro.sim import kernels
 from repro.sim.random import RandomStreams
 from repro.simulation.config import scaled_config
@@ -168,6 +170,8 @@ class TestRepositoryDifferential:
         assert snapshot(soa) == snapshot(ref)
         assert len(soa) == len(ref)
         assert sorted(soa.sources()) == sorted(ref.sources())
+        report = check_arena_health(SimpleNamespace(arena=arena, repos=[soa]))
+        assert report["ok"], report
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_lookup_with_behind_entries(self, seed):
