@@ -1,23 +1,14 @@
-"""Engine batching speedups: dispatch micro-bench + end-to-end A/B cells.
+"""Batched-kernel speedups: end-to-end reference-vs-batched A/B cells.
 
-Two layers, matching the batched event-engine kernel's claims:
-
-* **dispatch micro-bench** -- the engine alone, on synthetic workloads at
-  10k/50k-event scale: cohort dispatch (registered batch handler, one
-  call per same-timestamp cohort) vs the per-event fallback, and the
-  binary heap vs the opt-in calendar queue on a deep scattered queue.
-  Dispatch *order* is asserted identical across every pair (the engine's
-  bit-identity contract), timings are recorded.
-* **end-to-end A/B** -- one 10k-peer flooding cell and one ASAP(FLD)
-  cell replayed twice: batched kernels (the default) vs
-  ``repro.sim.kernels.reference_mode()``, which routes every dual-path
-  call site to the retained pre-batching loops.  Rounds interleave the
-  arms and the min per arm is taken (1-CPU boxes are noisy; within-run
-  ratios are the meaningful signal).  Every timed pair must agree on the
-  full summary row (floats aggregated over all outcomes + ledger), a
-  separate audited pair must agree on the blake2b run fingerprint, and
-  the replay speedups must clear the acceptance bars (>= 2x flooding,
-  >= 1.5x ASAP at full scale).
+One 10k-peer flooding cell and one ASAP(FLD) cell are replayed twice:
+batched kernels (the default) vs ``repro.sim.kernels.reference_mode()``,
+which routes every dual-path call site to the retained pre-batching
+loops.  Rounds interleave the arms and the min per arm is taken (1-CPU
+boxes are noisy; within-run ratios are the meaningful signal).  Every
+timed pair must agree on the full summary row (floats aggregated over all
+outcomes + ledger), a separate audited pair must agree on the blake2b run
+fingerprint, and the replay speedups must clear the acceptance bars
+(>= 2x flooding, >= 1.5x ASAP at full scale).
 
 Results:
 
@@ -30,14 +21,12 @@ Results:
 
 Scale control (environment variables):
 
-* ``REPRO_BENCH_ENGINE_EVENTS``        -- micro-bench event count
-  (default 50000; a 1/5 cell runs alongside it, i.e. 10000)
 * ``REPRO_BENCH_ENGINE_PEERS``         -- flooding cell overlay size
   (default 10000) and ``REPRO_BENCH_ENGINE_QUERIES`` (default 1000)
 * ``REPRO_BENCH_ENGINE_ASAP_PEERS``    -- ASAP cell overlay size
   (default 3000) and ``REPRO_BENCH_ENGINE_ASAP_QUERIES`` (default 600)
 * ``REPRO_BENCH_ENGINE_ROUNDS``        -- interleaved A/B round pairs
-  (default 2) and micro-bench timing rounds (default 5)
+  (default 2)
 * ``REPRO_BENCH_ENGINE_MIN_FLOOD_SPEEDUP`` / ``..._MIN_ASAP_SPEEDUP``
   -- assertion bars on the replay speedups (defaults 2.0 and 1.5; CI's
   reduced-scale smoke relaxes them -- small cells flatten the ratio)
@@ -53,20 +42,15 @@ import os
 import time
 from pathlib import Path
 
-import numpy as np
-
 from conftest import BENCH_SCHEMA_VERSION, write_result
 from repro.sim import kernels
-from repro.sim.engine import SimulationEngine
 from repro.simulation import run_experiment, scaled_config
 
-MICRO_EVENTS = int(os.environ.get("REPRO_BENCH_ENGINE_EVENTS", "50000"))
 N_PEERS = int(os.environ.get("REPRO_BENCH_ENGINE_PEERS", "10000"))
 N_QUERIES = int(os.environ.get("REPRO_BENCH_ENGINE_QUERIES", "1000"))
 ASAP_PEERS = int(os.environ.get("REPRO_BENCH_ENGINE_ASAP_PEERS", "3000"))
 ASAP_QUERIES = int(os.environ.get("REPRO_BENCH_ENGINE_ASAP_QUERIES", "600"))
 ROUNDS = int(os.environ.get("REPRO_BENCH_ENGINE_ROUNDS", "2"))
-MICRO_ROUNDS = int(os.environ.get("REPRO_BENCH_ENGINE_MICRO_ROUNDS", "5"))
 MIN_FLOOD_SPEEDUP = float(
     os.environ.get("REPRO_BENCH_ENGINE_MIN_FLOOD_SPEEDUP", "2.0")
 )
@@ -76,92 +60,6 @@ MIN_ASAP_SPEEDUP = float(
 RECORD = os.environ.get("REPRO_BENCH_ENGINE_RECORD", "1") != "0"
 TRAJECTORY = Path(__file__).resolve().parent.parent / "BENCH_ENGINE.json"
 TRAJECTORY_KEEP = 50  # most recent entries retained in the committed file
-COHORT_SIZE = 50  # cohort micro-bench: events per shared timestamp
-
-
-# ------------------------------------------------------------ micro-bench
-def _time_min(fn):
-    best = float("inf")
-    for _ in range(MICRO_ROUNDS):
-        gc.collect()
-        gc.disable()
-        try:
-            start = time.perf_counter()
-            fn()
-            best = min(best, time.perf_counter() - start)
-        finally:
-            gc.enable()
-    return best
-
-
-def _scattered_run(scheduler: str, n_events: int, order=None) -> None:
-    """Push ``n_events`` at distinct jittered times, then drain the queue."""
-    times = np.random.default_rng(42).uniform(0.0, n_events / 100.0, n_events)
-    engine = SimulationEngine(scheduler=scheduler)
-    if order is None:
-        cb = lambda: None  # noqa: E731 - timing stub
-        for t in times:
-            engine.schedule_at(float(t), cb)
-    else:
-        for i, t in enumerate(times):
-            engine.schedule_at(float(t), lambda i=i: order.append(i))
-    engine.run()
-    assert engine.events_processed == n_events
-
-
-def _cohort_run(batched: bool, n_events: int, order=None) -> None:
-    """Drain ``n_events`` arranged in same-timestamp cohorts.
-
-    ``batched`` registers the cohort handler (one call per cohort);
-    otherwise the same events fall back to per-event callbacks.
-    """
-    engine = SimulationEngine()
-    if batched:
-        engine.register_batch_handler(
-            "bench",
-            (lambda events: None)
-            if order is None
-            else (lambda events: order.extend(e.seq for e in events)),
-        )
-        record = None
-    else:
-        record = order
-    for i in range(n_events):
-        t = float(i // COHORT_SIZE)
-        if record is None:
-            engine.schedule_at(t, lambda: None, batch_key="bench")
-        else:
-            e = engine.schedule_at(t, lambda: None, batch_key="bench")
-            e.callback = lambda seq=e.seq: record.append(seq)
-    engine.run()
-    assert engine.events_processed == n_events
-
-
-def _micro_rows():
-    rows = []
-    for n_events in (MICRO_EVENTS // 5, MICRO_EVENTS):
-        # Scheduler A/B: same scattered workload, heap vs calendar.
-        t_heap = _time_min(lambda: _scattered_run("heap", n_events))
-        t_cal = _time_min(lambda: _scattered_run("calendar", n_events))
-        heap_order: list = []
-        cal_order: list = []
-        _scattered_run("heap", n_events, order=heap_order)
-        _scattered_run("calendar", n_events, order=cal_order)
-        assert heap_order == cal_order  # bit-identical dispatch order
-        rows.append(("heap vs calendar (scattered)", n_events, t_heap, t_cal))
-
-        # Dispatch A/B: same cohort workload, batched vs per-event.
-        t_per_event = _time_min(lambda: _cohort_run(False, n_events))
-        t_cohort = _time_min(lambda: _cohort_run(True, n_events))
-        ev_order: list = []
-        co_order: list = []
-        _cohort_run(False, n_events, order=ev_order)
-        _cohort_run(True, n_events, order=co_order)
-        assert ev_order == co_order  # cohorts preserve (time, seq) order
-        rows.append(
-            ("per-event vs cohort (tied)", n_events, t_per_event, t_cohort)
-        )
-    return rows
 
 
 # ----------------------------------------------------------- end-to-end A/B
@@ -253,36 +151,23 @@ def _append_trajectory(entry: dict) -> None:
 
 def bench_engine_dispatch(benchmark):
     def run():
-        micro = _micro_rows()
         # Both cells run the audited fingerprint pair: the committed
         # trajectory doubles as the cross-version equivalence record, so a
         # null ASAP fingerprint would leave the ASAP arm unpinned (the
         # regression gate asserts both fields are present).
         flood = _ab_cell("flooding", N_PEERS, N_QUERIES, fp_check=True)
         asap = _ab_cell("asap_fld", ASAP_PEERS, ASAP_QUERIES, fp_check=True)
-        return micro, flood, asap
+        return flood, asap
 
-    micro, flood, asap = benchmark.pedantic(run, rounds=1, iterations=1)
+    flood, asap = benchmark.pedantic(run, rounds=1, iterations=1)
 
     lines = [
-        "Engine batching: dispatch micro-bench + end-to-end A/B cells",
-        f"(micro {MICRO_EVENTS} events x {MICRO_ROUNDS} rounds, cells "
-        f"min-of-{ROUNDS} interleaved pairs; speedup = reference/batched "
+        "Batched kernels: end-to-end A/B cells",
+        f"(min-of-{ROUNDS} interleaved pairs; speedup = reference/batched "
         f"replay wall-clock, fingerprints asserted bit-equal)",
         "",
-        f"{'micro workload':34s} {'events':>7} {'base ms':>9} "
-        f"{'fast ms':>9} {'speedup':>8}",
+        f"{'end-to-end cell':34s} {'ref s':>9} {'batched s':>9} {'speedup':>8}",
     ]
-    for name, n_events, base_s, fast_s in micro:
-        ratio = base_s / fast_s if fast_s > 0 else float("inf")
-        lines.append(
-            f"{name:34s} {n_events:>7d} {base_s * 1e3:>9.2f} "
-            f"{fast_s * 1e3:>9.2f} {ratio:>7.2f}x"
-        )
-    lines.append("")
-    lines.append(
-        f"{'end-to-end cell':34s} {'ref s':>9} {'batched s':>9} {'speedup':>8}"
-    )
     for cell in (flood, asap):
         lines.append(
             f"{cell['algorithm']} {cell['n_peers']}p/{cell['n_queries']}q"
@@ -291,15 +176,6 @@ def bench_engine_dispatch(benchmark):
         )
 
     data = {
-        "micro": [
-            {
-                "workload": name,
-                "n_events": n_events,
-                "baseline_s": base_s,
-                "fast_s": fast_s,
-            }
-            for name, n_events, base_s, fast_s in micro
-        ],
         "flood": flood,
         "asap": asap,
         "flood_speedup": flood["speedup"],

@@ -13,7 +13,7 @@ comparisons the reproduction validates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace as dataclasses_replace
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -76,9 +76,6 @@ class ExperimentScale:
     probes: bool = False
     # Worker processes for grid population (1 = serial, 0 = all cores).
     jobs: int = 1
-    # Engine event-queue implementation ("heap" or "calendar"); results
-    # are bit-identical either way (see docs/PERFORMANCE.md).
-    scheduler: str = "heap"
 
     @staticmethod
     def paper() -> "ExperimentScale":
@@ -97,8 +94,6 @@ class ExperimentScale:
                 seed=self.seed,
                 use_physical_network=self.use_physical_network,
             )
-        if self.scheduler != config.scheduler:
-            config = dataclasses_replace(config, scheduler=self.scheduler)
         return config
 
 

@@ -4,7 +4,7 @@ The experiments in this reproduction are trace-driven: most of the heavy
 numerical work (flood reachability, walk sampling) happens inside vectorised
 handlers, while this engine supplies the ordered control plane -- trace
 events, ad-refresh timers and churn interleaving all flow through a single
-priority queue keyed on ``(time, sequence)`` so ties break deterministically
+binary heap keyed on ``(time, sequence)`` so ties break deterministically
 in scheduling order.
 
 Design notes
@@ -12,29 +12,10 @@ Design notes
 * Events are plain callables.  There is no coroutine machinery; handlers that
   need to continue later simply schedule a follow-up event.  This keeps the
   kernel small, trivially testable, and fast (no generator overhead).
-* Cancellation is lazy: a cancelled :class:`Event` stays in the queue but is
+* Cancellation is lazy: a cancelled :class:`Event` stays in the heap but is
   skipped when popped.  This is the standard O(1)-cancel heap idiom.
 * The clock is a float in **seconds** (the paper's load series is per-second;
   latencies are milliseconds and converted at the boundary).
-* **Cohort dispatch**: the run loop pops *all* events sharing the current
-  minimum timestamp in one step.  Cohorts of size one (the overwhelmingly
-  common case -- trace times are continuous floats) take a fast path that
-  never allocates a list; larger cohorts whose members all carry the same
-  ``batch_key`` are handed to a registered batch handler in one call (see
-  :meth:`SimulationEngine.register_batch_handler`).  Dispatch order is
-  ``(time, seq)`` either way, so cohort dispatch is observably identical to
-  one-at-a-time dispatch -- including lazy cancellation: a cohort member
-  cancelled by an *earlier* member's callback is skipped without counting
-  as processed and without observer hooks, exactly as the serial loop
-  would have skipped it when popped.
-* **Calendar queue** (opt-in via ``scheduler="calendar"``): a two-level
-  structure -- one small heap per one-second bucket plus a heap of bucket
-  keys -- behind the same interface.  Bucket time ranges are disjoint and
-  ordered, so the head of the lowest non-empty bucket is the global
-  ``(time, seq)`` minimum and the dispatch order is bit-identical to the
-  binary heap's.  It wins when the queue is deep (pushes land in small
-  per-bucket heaps instead of one log-N-deep heap); see
-  docs/PERFORMANCE.md, "Engine batching".
 """
 
 from __future__ import annotations
@@ -43,12 +24,9 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Optional
 
 __all__ = ["Event", "PeriodicTimer", "SimulationEngine", "SimulationError"]
-
-#: Accepted ``SimulationEngine(scheduler=...)`` values.
-SCHEDULERS = ("heap", "calendar")
 
 
 class SimulationError(RuntimeError):
@@ -61,10 +39,7 @@ class Event:
 
     Events order by ``(time, seq)``; ``seq`` is a monotonically increasing
     tie-breaker so two events at the same timestamp fire in the order they
-    were scheduled.  ``batch_key`` marks the event as batchable: when a
-    same-timestamp cohort is homogeneous in a registered ``batch_key``, the
-    engine hands the whole cohort to that batch handler instead of calling
-    each ``callback`` (the callback remains the per-event fallback).
+    were scheduled.
     """
 
     time: float
@@ -72,9 +47,8 @@ class Event:
     callback: Callable[[], None] = field(compare=False)
     name: str = field(default="", compare=False)
     cancelled: bool = field(default=False, compare=False)
-    batch_key: Optional[str] = field(default=None, compare=False)
     # Set by the engine so lazy cancellation can keep its live-event count
-    # exact without scanning the queue; cleared once the event is popped
+    # exact without scanning the heap; cleared once the event is popped
     # for dispatch (a cancel after that point must not touch the counter).
     _on_cancel: Optional[Callable[[], None]] = field(
         default=None, compare=False, repr=False
@@ -89,45 +63,20 @@ class Event:
 
 
 class SimulationEngine:
-    """Discrete-event scheduler with a float clock in seconds.
+    """Discrete-event scheduler with a float clock in seconds."""
 
-    ``scheduler`` selects the priority-queue implementation: ``"heap"``
-    (binary heap, the default) or ``"calendar"`` (two-level calendar
-    queue).  Both dispatch in identical ``(time, seq)`` order.
-    """
-
-    def __init__(self, scheduler: str = "heap") -> None:
-        if scheduler not in SCHEDULERS:
-            raise SimulationError(
-                f"unknown scheduler {scheduler!r}; choose from {SCHEDULERS}"
-            )
-        self._scheduler = scheduler
+    def __init__(self) -> None:
         self._heap: list[Event] = []
-        # Calendar-queue state: one-second buckets (each a small heap of
-        # events) plus a heap of bucket keys.  A key enters ``_cal_keys``
-        # exactly when its bucket is created and leaves when the bucket is
-        # found empty at peek time, so the keys heap never holds
-        # duplicates.
-        self._cal: Dict[int, List[Event]] = {}
-        self._cal_keys: List[int] = []
-        self._cal_count = 0
         self._seq = itertools.count()
         self._now = 0.0
         self._running = False
         self._processed = 0
-        # Lazily-cancelled events still sitting in the queue.  The live
-        # (dispatchable) count is ``queued - cancelled``, so the dispatch
+        # Lazily-cancelled events still sitting in the heap.  The live
+        # (dispatchable) count is ``len(heap) - cancelled``, so the dispatch
         # loop never touches a counter on the hot path.
         self._cancelled_in_heap = 0
         # One bound-method object reused by every scheduled event.
         self._cancel_hook = self._note_cancel
-        # Batch handlers: batch_key -> callable(list[Event]).
-        self._batch_handlers: Dict[str, Callable[[List[Event]], None]] = {}
-        # Batched-dispatch gauges (per batch_key), maintained only on the
-        # batch-handler path so the singleton fast path pays nothing.
-        self._batch_dispatches: Dict[str, int] = {}
-        self._batch_events: Dict[str, int] = {}
-        self._batch_cohort_sizes: Dict[int, int] = {}
         # Observer with event_begin(event)/event_end(event); None keeps the
         # dispatch loop on its unobserved fast path (a single branch).
         self._observer: Optional[Any] = None
@@ -138,11 +87,6 @@ class SimulationEngine:
 
     def _note_cancel(self) -> None:
         self._cancelled_in_heap += 1
-
-    @property
-    def scheduler(self) -> str:
-        """The priority-queue implementation this engine runs on."""
-        return self._scheduler
 
     # --------------------------------------------------------------- observer
     @property
@@ -156,9 +100,7 @@ class SimulationEngine:
         The observer's ``event_begin(event)`` / ``event_end(event)`` are
         called around every executed event.  Used by the profiler and
         tracer in :mod:`repro.obs`; when no observer is installed the
-        dispatch loop pays one branch and nothing else.  With an observer
-        installed, cohorts always dispatch per event (never through a
-        batch handler) so profiles attribute every event exactly.
+        dispatch loop pays one branch and nothing else.
         """
         if observer is not None and (
             not callable(getattr(observer, "event_begin", None))
@@ -189,42 +131,6 @@ class SimulationEngine:
             raise SimulationError("telemetry must provide record_engine_event(t)")
         self._telemetry = telemetry
 
-    # ---------------------------------------------------------- batch handlers
-    def register_batch_handler(
-        self, key: str, handler: Optional[Callable[[List[Event]], None]]
-    ) -> None:
-        """Register a vectorised handler for same-timestamp event cohorts.
-
-        When the dispatch loop pops a cohort (>= 2 events at one
-        timestamp) whose members all carry ``batch_key == key``, it calls
-        ``handler(events)`` once instead of each event's callback --
-        ``events`` lists the cohort's live members in ``(time, seq)``
-        order.  Mixed or unregistered cohorts, singletons, and any cohort
-        dispatched while an observer is installed fall back to per-event
-        callbacks, so batching never changes observable order.  Pass
-        ``None`` to unregister.
-        """
-        if handler is None:
-            self._batch_handlers.pop(key, None)
-            return
-        if not callable(handler):
-            raise SimulationError("batch handler must be callable")
-        self._batch_handlers[key] = handler
-
-    def batch_stats(self) -> Dict[str, Dict]:
-        """Batched-dispatch gauges for state probes and diagnostics.
-
-        ``dispatches`` counts batch-handler invocations per ``batch_key``,
-        ``events`` the events they absorbed, and ``cohort_sizes`` maps
-        cohort size -> occurrences.  All empty until a cohort actually
-        takes the batch path (counters live off the singleton fast path).
-        """
-        return {
-            "dispatches": dict(self._batch_dispatches),
-            "events": dict(self._batch_events),
-            "cohort_sizes": dict(self._batch_cohort_sizes),
-        }
-
     # ------------------------------------------------------------------ clock
     @property
     def now(self) -> float:
@@ -236,45 +142,29 @@ class SimulationEngine:
         """Number of events executed so far (cancelled events excluded)."""
         return self._processed
 
-    def _queued(self) -> int:
-        if self._scheduler == "heap":
-            return len(self._heap)
-        return self._cal_count
-
-    @property
-    def pending(self) -> int:
-        """Number of live (non-cancelled) events still in the queue."""
-        return self._queued() - self._cancelled_in_heap
-
     @property
     def pending_live(self) -> int:
         """Live (non-cancelled) queued events, tracked in O(1).
 
-        Lazily-cancelled events stay in the queue until popped; this count
+        Lazily-cancelled events stay in the heap until popped; this count
         excludes them, so progress reporting and the profiler see the true
-        remaining work rather than the raw queue depth.
+        remaining work rather than the raw heap depth.
         """
-        return self._queued() - self._cancelled_in_heap
+        return len(self._heap) - self._cancelled_in_heap
 
     @property
     def pending_events(self) -> int:
-        """Raw queue depth, *including* lazily-cancelled events."""
-        return self._queued()
+        """Raw heap depth, *including* lazily-cancelled events."""
+        return len(self._heap)
 
     # -------------------------------------------------------------- schedule
     def schedule_at(
-        self,
-        time: float,
-        callback: Callable[[], None],
-        name: str = "",
-        batch_key: Optional[str] = None,
+        self, time: float, callback: Callable[[], None], name: str = ""
     ) -> Event:
         """Schedule ``callback`` at absolute simulation ``time``.
 
         Raises :class:`SimulationError` if ``time`` precedes the current
         clock -- causality violations are always bugs in the caller.
-        ``batch_key`` opts the event into cohort batching (see
-        :meth:`register_batch_handler`).
         """
         if math.isnan(time):
             raise SimulationError("cannot schedule at NaN time")
@@ -287,91 +177,62 @@ class SimulationEngine:
             seq=next(self._seq),
             callback=callback,
             name=name,
-            batch_key=batch_key,
             _on_cancel=self._cancel_hook,
         )
-        if self._scheduler == "heap":
-            heapq.heappush(self._heap, event)
-        else:
-            key = int(time)  # one-second buckets; times are non-negative
-            bucket = self._cal.get(key)
-            if bucket is None:
-                self._cal[key] = [event]
-                heapq.heappush(self._cal_keys, key)
-            else:
-                heapq.heappush(bucket, event)
-            self._cal_count += 1
+        heapq.heappush(self._heap, event)
         return event
 
     def schedule_after(
-        self,
-        delay: float,
-        callback: Callable[[], None],
-        name: str = "",
-        batch_key: Optional[str] = None,
+        self, delay: float, callback: Callable[[], None], name: str = ""
     ) -> Event:
         """Schedule ``callback`` after a relative non-negative ``delay``."""
         if delay < 0:
             raise SimulationError(f"negative delay: {delay}")
-        return self.schedule_at(
-            self._now + delay, callback, name=name, batch_key=batch_key
-        )
+        return self.schedule_at(self._now + delay, callback, name=name)
 
-    # ------------------------------------------------------- queue primitives
-    def _peek_live(self) -> Optional[Event]:
-        """The next live event, dropping lazily-cancelled heads on the way.
+    # ------------------------------------------------------------------- run
+    def _pop_live(self, until: Optional[float] = None) -> Optional[Event]:
+        """Pop the next live event, or None when none remains by ``until``.
 
-        The serial loop always popped consecutive cancelled heads before
-        checking ``until``, so dropping them here preserves behaviour
-        exactly.  Returns None when no live event remains.
+        Lazily-cancelled heads are dropped on the way, before ``until`` is
+        checked.  The popped event's cancel hook is cleared so a late
+        cancel (from its own or a later callback) is a no-op.
         """
-        if self._scheduler == "heap":
-            heap = self._heap
-            while heap:
-                event = heap[0]
-                if event.cancelled:
-                    heapq.heappop(heap)
-                    self._cancelled_in_heap -= 1
-                    continue
-                return event
-            return None
-        cal, keys = self._cal, self._cal_keys
-        while keys:
-            bucket = cal.get(keys[0])
-            if not bucket:
-                key = heapq.heappop(keys)
-                cal.pop(key, None)
-                continue
-            event = bucket[0]
+        heap = self._heap
+        while heap:
+            event = heap[0]
             if event.cancelled:
-                heapq.heappop(bucket)
-                self._cal_count -= 1
+                heapq.heappop(heap)
                 self._cancelled_in_heap -= 1
                 continue
+            if until is not None and event.time > until:
+                return None
+            heapq.heappop(heap)
+            event._on_cancel = None
             return event
         return None
 
-    def _pop_head(self) -> Event:
-        """Pop the queue head (valid immediately after a _peek_live hit)."""
-        if self._scheduler == "heap":
-            return heapq.heappop(self._heap)
-        event = heapq.heappop(self._cal[self._cal_keys[0]])
-        self._cal_count -= 1
-        return event
+    def _dispatch(
+        self, event: Event, observer: Optional[Any], telemetry: Optional[Any]
+    ) -> None:
+        """Advance the clock to ``event`` and execute it."""
+        self._now = event.time
+        self._processed += 1
+        if observer is None:
+            event.callback()
+        else:
+            observer.event_begin(event)
+            event.callback()
+            observer.event_end(event)
+        if telemetry is not None:
+            telemetry.record_engine_event(event.time)
 
-    # ------------------------------------------------------------------- run
     def run(self, until: Optional[float] = None) -> float:
-        """Execute events in timestamp order.
+        """Execute events in ``(time, seq)`` order.
 
-        Runs until the queue is exhausted, or until the clock would pass
+        Runs until the heap is exhausted, or until the clock would pass
         ``until`` (events at exactly ``until`` are executed).  Returns the
         final clock value.  Re-entrant calls are rejected.
-
-        Same-timestamp events are popped as one *cohort* before any of
-        their callbacks run; dispatch stays in ``(time, seq)`` order.
-        Events scheduled by a cohort member at the current timestamp land
-        in a follow-up cohort, exactly where the serial loop would have
-        dispatched them.
         """
         if self._running:
             raise SimulationError("engine is already running")
@@ -379,83 +240,9 @@ class SimulationEngine:
         # Read once: install observers before run(), not from inside it.
         observer = self._observer
         telemetry = self._telemetry
-        batch_handlers = self._batch_handlers
         try:
-            while True:
-                event = self._peek_live()
-                if event is None:
-                    break
-                if until is not None and event.time > until:
-                    break
-                self._pop_head()
-                event._on_cancel = None  # popped: a late cancel is a no-op
-                t = event.time
-                peer = self._peek_live()
-                if peer is None or peer.time != t:
-                    # Singleton cohort: the common fast path (trace times
-                    # are continuous floats; ties are rare).
-                    self._now = t
-                    self._processed += 1
-                    if observer is None:
-                        event.callback()
-                    else:
-                        observer.event_begin(event)
-                        event.callback()
-                        observer.event_end(event)
-                    if telemetry is not None:
-                        telemetry.record_engine_event(t)
-                    continue
-                # Gather the full cohort.  _on_cancel is cleared at pop
-                # time so a member cancelled by an earlier member's
-                # callback cannot corrupt the lazy-cancel counter; the
-                # re-check before each dispatch below skips it instead.
-                cohort = [event]
-                while peer is not None and peer.time == t:
-                    self._pop_head()
-                    peer._on_cancel = None
-                    cohort.append(peer)
-                    peer = self._peek_live()
-                self._now = t
-                key = cohort[0].batch_key
-                if (
-                    key is not None
-                    and observer is None
-                    and key in batch_handlers
-                    and all(e.batch_key == key for e in cohort)
-                ):
-                    live = [e for e in cohort if not e.cancelled]
-                    if live:
-                        n_live = len(live)
-                        self._processed += n_live
-                        self._batch_dispatches[key] = (
-                            self._batch_dispatches.get(key, 0) + 1
-                        )
-                        self._batch_events[key] = (
-                            self._batch_events.get(key, 0) + n_live
-                        )
-                        self._batch_cohort_sizes[n_live] = (
-                            self._batch_cohort_sizes.get(n_live, 0) + 1
-                        )
-                        batch_handlers[key](live)
-                        if telemetry is not None:
-                            for e in live:
-                                telemetry.record_engine_event(t)
-                    continue
-                for e in cohort:
-                    if e.cancelled:
-                        # Cancelled mid-cohort (or while queued): not
-                        # processed, no observer hooks, no telemetry --
-                        # identical to the serial loop's lazy skip.
-                        continue
-                    self._processed += 1
-                    if observer is None:
-                        e.callback()
-                    else:
-                        observer.event_begin(e)
-                        e.callback()
-                        observer.event_end(e)
-                    if telemetry is not None:
-                        telemetry.record_engine_event(t)
+            while (event := self._pop_live(until)) is not None:
+                self._dispatch(event, observer, telemetry)
             if until is not None and self._now < until:
                 self._now = until
         finally:
@@ -464,22 +251,10 @@ class SimulationEngine:
 
     def step(self) -> bool:
         """Execute exactly one pending event.  Returns False if none remain."""
-        event = self._peek_live()
+        event = self._pop_live()
         if event is None:
             return False
-        self._pop_head()
-        event._on_cancel = None
-        self._now = event.time
-        self._processed += 1
-        observer = self._observer
-        if observer is None:
-            event.callback()
-        else:
-            observer.event_begin(event)
-            event.callback()
-            observer.event_end(event)
-        if self._telemetry is not None:
-            self._telemetry.record_engine_event(event.time)
+        self._dispatch(event, self._observer, self._telemetry)
         return True
 
 
@@ -534,8 +309,3 @@ class PeriodicTimer:
 def ms(milliseconds: float) -> float:
     """Convert milliseconds to the engine's second-based clock."""
     return milliseconds / 1000.0
-
-
-def make_engine(scheduler: str = "heap") -> SimulationEngine:
-    """Factory kept for API symmetry with heavier simulation frameworks."""
-    return SimulationEngine(scheduler=scheduler)

@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event simulation kernel."""
 
+import random
+
 import pytest
 
 from repro.sim.engine import PeriodicTimer, SimulationEngine, SimulationError, ms
@@ -74,6 +76,55 @@ class TestScheduling:
         eng.run()
         assert order == ["x"]
 
+    def test_event_at_current_time_runs_after_existing_ties(self):
+        """An event a callback schedules *at the current time* gets a later
+        ``seq`` than every tie already queued, so it runs after them."""
+        eng = SimulationEngine()
+        order = []
+
+        def first():
+            order.append("first")
+            eng.schedule_at(1.0, lambda: order.append("spawned"))
+
+        eng.schedule_at(1.0, first)
+        eng.schedule_at(1.0, lambda: order.append("second"))
+        eng.run()
+        assert order == ["first", "second", "spawned"]
+
+    def test_randomized_ties_and_cancels_keep_time_seq_order(self):
+        """Property check: under random spawning (ties included) and random
+        cancellation from callbacks, the executed log is in ``(time, seq)``
+        order and no event cancelled before its turn ever runs."""
+        rng = random.Random(42)
+        eng = SimulationEngine()
+        executed = []  # (time, seq) of every callback that ran
+        queued = []  # handles a later callback may cancel
+        cancelled_early = set()  # seqs cancelled before they ran
+
+        def spawn(t):
+            box = []
+
+            def cb():
+                executed.append((box[0].time, box[0].seq))
+                if rng.random() < 0.3:
+                    spawn(eng.now + rng.choice([0.0, 0.1, 0.5, 1.7, 3.0]))
+                if queued and rng.random() < 0.2:
+                    victim = queued.pop(rng.randrange(len(queued)))
+                    if (victim.time, victim.seq) not in executed:
+                        cancelled_early.add(victim.seq)
+                    victim.cancel()
+
+            box.append(eng.schedule_at(t, cb))
+            queued.append(box[0])
+
+        for _ in range(60):
+            spawn(rng.choice([0.5, 1.0, 1.0, 2.25, 2.25, 4.0, 7.5]))
+        eng.run(until=40.0)
+        assert executed == sorted(executed)
+        assert cancelled_early  # the workload really cancels queued events
+        assert not cancelled_early & {seq for _, seq in executed}
+        assert eng.events_processed == len(executed)
+
 
 class TestCancellation:
     def test_cancelled_event_does_not_fire(self):
@@ -96,7 +147,74 @@ class TestCancellation:
         eng.schedule_at(1.0, lambda: None)
         ev = eng.schedule_at(2.0, lambda: None)
         ev.cancel()
-        assert eng.pending == 1
+        assert eng.pending_live == 1
+
+    def test_cancel_same_time_event_from_callback(self):
+        eng = SimulationEngine()
+        log = []
+        victim = None
+
+        def killer():
+            log.append("killer")
+            victim.cancel()
+
+        eng.schedule_at(1.0, killer)
+        victim = eng.schedule_at(1.0, lambda: log.append("victim"))
+        eng.schedule_at(1.0, lambda: log.append("survivor"))
+        eng.run()
+        assert log == ["killer", "survivor"]
+        assert eng.events_processed == 2
+        assert eng.pending_live == 0
+        assert eng.pending_events == 0
+
+    def test_cancel_same_time_event_from_callback_with_observer(self):
+        """A tie cancelled by an earlier tie's callback is not processed and
+        fires no observer hooks."""
+
+        class Recorder:
+            def __init__(self):
+                self.begun = []
+
+            def event_begin(self, event):
+                self.begun.append(event.name)
+
+            def event_end(self, event):
+                pass
+
+        eng = SimulationEngine()
+        recorder = Recorder()
+        eng.set_observer(recorder)
+        log = []
+        targets = []
+
+        def kill_all():
+            log.append("killer")
+            for t in targets:
+                t.cancel()
+
+        eng.schedule_at(1.0, kill_all, name="killer")
+        for i in range(3):
+            targets.append(
+                eng.schedule_at(1.0, lambda i=i: log.append(i), name=f"victim-{i}")
+            )
+        eng.schedule_at(2.0, lambda: log.append("after"), name="after")
+        eng.run()
+        assert log == ["killer", "after"]
+        assert eng.events_processed == 2
+        assert recorder.begun == ["killer", "after"]
+        assert eng.pending_live == 0
+        assert eng.pending_events == 0
+
+    def test_cancel_after_execution_is_noop(self):
+        eng = SimulationEngine()
+        log = []
+        ev = eng.schedule_at(1.0, lambda: log.append("ran"))
+        eng.run()
+        ev.cancel()  # must not touch the (empty) heap accounting
+        assert eng.pending_live == 0 and eng.pending_events == 0
+        eng.schedule_at(2.0, lambda: log.append("later"))
+        eng.run()
+        assert log == ["ran", "later"]
 
 
 class TestRunControl:
@@ -115,6 +233,29 @@ class TestRunControl:
         eng.schedule_at(5.0, lambda: fired.append(5))
         eng.run(until=5.0)
         assert fired == [5]
+
+    def test_until_boundary(self):
+        eng = SimulationEngine()
+        fired = []
+        for t in (1.0, 2.0, 3.0):
+            eng.schedule_at(t, lambda t=t: fired.append(t))
+        assert eng.run(until=2.0) == 2.0
+        assert fired == [1.0, 2.0]  # events at exactly `until` execute
+        assert eng.pending_live == 1
+
+    def test_pending_counts_inside_ties(self):
+        """A callback sees the true remaining work, ties included: with
+        three events at t=1 and one at t=2 the callbacks read 3, 2, 1, 0."""
+        eng = SimulationEngine()
+        seen = []
+
+        def record():
+            seen.append((eng.pending_live, eng.pending_events))
+
+        for t in (1.0, 1.0, 1.0, 2.0):
+            eng.schedule_at(t, record)
+        eng.run()
+        assert seen == [(3, 3), (2, 2), (1, 1), (0, 0)]
 
     def test_run_resumes_after_until(self):
         eng = SimulationEngine()
