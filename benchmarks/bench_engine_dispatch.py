@@ -43,6 +43,7 @@ import time
 from pathlib import Path
 
 from conftest import BENCH_SCHEMA_VERSION, write_result
+from repro.obs import Instruments
 from repro.sim import kernels
 from repro.simulation import run_experiment, scaled_config
 
@@ -101,8 +102,8 @@ def _fingerprint(algorithm: str, n_peers: int, n_queries: int, reference: bool):
     cfg = _config(algorithm, n_peers, n_queries)
     if reference:
         with kernels.reference_mode():
-            return run_experiment(cfg, audit=True).fingerprint
-    return run_experiment(cfg, audit=True).fingerprint
+            return run_experiment(cfg, Instruments(audit=True)).fingerprint
+    return run_experiment(cfg, Instruments(audit=True)).fingerprint
 
 
 def _ab_cell(algorithm: str, n_peers: int, n_queries: int, fp_check: bool):

@@ -37,6 +37,7 @@ import time
 from pathlib import Path
 
 from conftest import BENCH_SCHEMA_VERSION, write_json_result
+from repro.obs import Instruments
 from repro.simulation import run_experiment, scaled_config
 
 N_PEERS = int(os.environ.get("REPRO_BENCH_PROBES_PEERS", "10000"))
@@ -61,7 +62,7 @@ def _cell(probes: bool):
     gc.disable()
     try:
         start = time.perf_counter()
-        result = run_experiment(cfg, probes=probes)
+        result = run_experiment(cfg, Instruments(probes=probes))
         elapsed = time.perf_counter() - start
     finally:
         gc.enable()

@@ -129,6 +129,7 @@ def _cell_main(
     import dataclasses
     import resource
 
+    from repro.obs import Instruments
     from repro.simulation.config import scaled_config
     from repro.simulation.runner import run_experiment
 
@@ -151,7 +152,7 @@ def _cell_main(
     )
     phase_times: dict = {}
     t0 = time.perf_counter()
-    result = run_experiment(config, profile=True, phase_times=phase_times)
+    result = run_experiment(config, Instruments(profile=True), phase_times=phase_times)
     wall_s = time.perf_counter() - t0
     profile = result.profile
     out = {

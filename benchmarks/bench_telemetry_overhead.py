@@ -4,8 +4,9 @@ The streaming telemetry layer (:mod:`repro.obs.telemetry`) promises to be
 cheap enough to leave on for paper-scale sweeps: the acceptance bar is
 <= 5% wall-clock on a 10k-peer cell, and ~0% when disabled (the hook
 sites reduce to one attribute load + branch).  This bench times the same
-ASAP(RW) replay with telemetry off and on (interleaved rounds, min taken,
-GC parked) and records the overhead fraction:
+ASAP(RW) replay with telemetry off and on (interleaved rounds that
+alternate which arm runs first, min taken, GC parked) and records the
+overhead fraction:
 
 * ``benchmarks/results/telemetry_overhead.json`` -- this session's
   measurement (the schema-versioned envelope every bench emits);
@@ -35,6 +36,7 @@ import time
 from pathlib import Path
 
 from conftest import BENCH_SCHEMA_VERSION, write_json_result
+from repro.obs import Instruments
 from repro.simulation import run_experiment, scaled_config
 
 N_PEERS = int(os.environ.get("REPRO_BENCH_TELEMETRY_PEERS", "10000"))
@@ -59,7 +61,7 @@ def _cell(telemetry: bool):
     gc.disable()
     try:
         start = time.perf_counter()
-        result = run_experiment(cfg, telemetry=telemetry)
+        result = run_experiment(cfg, Instruments(telemetry=telemetry))
         elapsed = time.perf_counter() - start
     finally:
         gc.enable()
@@ -79,12 +81,14 @@ def bench_telemetry_overhead(benchmark):
     def run():
         times = {"disabled": [], "enabled": []}
         summary = None
-        for _ in range(ROUNDS):
-            t_off, _r = _cell(telemetry=False)
-            t_on, r = _cell(telemetry=True)
-            times["disabled"].append(t_off)
-            times["enabled"].append(t_on)
-            summary = r.telemetry
+        for i in range(ROUNDS):
+            # Alternate which arm runs first so drift on the host does
+            # not always favour the same arm.
+            for telemetry in (False, True) if i % 2 == 0 else (True, False):
+                elapsed, r = _cell(telemetry=telemetry)
+                times["enabled" if telemetry else "disabled"].append(elapsed)
+                if telemetry:
+                    summary = r.telemetry
         return times, summary
 
     times, summary = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -53,6 +53,10 @@ vs ``BENCH_SCALEUP.json``:
    (default 0.25, i.e. a fresh speedup under 75% of the recorded one
    fails).
 
+Every gate that runs needs its committed baseline: a missing baseline
+file, or one with no entries, fails the gate instead of skipping its
+trend bar.
+
 Usage (as CI runs it)::
 
     python benchmarks/check_perf_regression.py \
@@ -79,7 +83,8 @@ def _load_result(path: Path) -> dict:
 
 
 def _load_baseline(path: Path) -> dict | None:
-    if not path.exists():
+    """The last trajectory entry, or None for a missing or empty file."""
+    if not path.exists() or not path.read_text().strip():
         return None
     doc = json.loads(path.read_text())
     entries = doc.get("entries", [])
@@ -224,7 +229,7 @@ def main(argv=None) -> int:
 
         baseline = _load_baseline(args.baseline)
         if baseline is None:
-            print(f"no baseline in {args.baseline}; trend check skipped")
+            failures.append(f"no baseline entry in {args.baseline}")
         else:
             base_overhead = baseline["overhead_frac"]
             print(
@@ -255,10 +260,7 @@ def main(argv=None) -> int:
             )
         probes_base = _load_baseline(args.probes_baseline)
         if probes_base is None:
-            print(
-                f"no baseline in {args.probes_baseline}; "
-                "probe trend check skipped"
-            )
+            failures.append(f"no baseline entry in {args.probes_baseline}")
         else:
             base_overhead = probes_base["overhead_frac"]
             print(
@@ -300,10 +302,7 @@ def main(argv=None) -> int:
                 print(f"engine {label} cell fingerprint {fp[:16]}...")
         engine_base = _load_baseline(args.engine_baseline)
         if engine_base is None:
-            print(
-                f"no baseline in {args.engine_baseline}; "
-                "engine trend check skipped"
-            )
+            failures.append(f"no baseline entry in {args.engine_baseline}")
         elif (
             engine["flood"]["n_peers"] != engine_base["flood"]["n_peers"]
             or engine["asap"]["n_peers"] != engine_base["asap"]["n_peers"]
@@ -369,10 +368,7 @@ def main(argv=None) -> int:
                     f"{args.scaleup_tolerance:.0%}"
                 )
         if base_entry is None:
-            print(
-                f"no baseline in {args.scaleup_baseline}; "
-                "scale-up trend check skipped"
-            )
+            failures.append(f"no baseline entry in {args.scaleup_baseline}")
 
     if failures:
         for f in failures:

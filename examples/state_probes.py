@@ -24,6 +24,7 @@ Run:  python examples/state_probes.py
 
 from dataclasses import replace
 
+from repro.obs import Instruments
 from repro.sim import kernels
 from repro.simulation import run_experiment, scaled_config
 
@@ -44,7 +45,7 @@ def main() -> None:
     cfg = replace(cfg, probe_interval_s=10.0)
 
     print(f"ASAP(RW) over {N_PEERS} peers, {N_QUERIES} queries (crawled)\n")
-    result = run_experiment(cfg, probes=True)
+    result = run_experiment(cfg, Instruments(probes=True))
     summary = result.probes
 
     print("state snapshots (one row per probe tick):")
@@ -60,7 +61,7 @@ def main() -> None:
 
     # Guarantee 1: the protocol-state series is backend-independent.
     with kernels.reference_mode():
-        reference = run_experiment(cfg, probes=True)
+        reference = run_experiment(cfg, Instruments(probes=True))
     match = summary.state_fingerprint() == reference.probes.state_fingerprint()
     print(
         f"\narena vs reference-store state fingerprint: "
@@ -69,7 +70,7 @@ def main() -> None:
     )
 
     # Guarantee 2: probing is free of side effects on the run.
-    plain = run_experiment(cfg, probes=False)
+    plain = run_experiment(cfg)
     unchanged = [o.success for o in plain.outcomes] == [
         o.success for o in result.outcomes
     ]

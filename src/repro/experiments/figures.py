@@ -19,6 +19,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 import numpy as np
 
 from repro.experiments.report import format_bar_chart, format_breakdown, format_grid_table
+from repro.obs.instruments import Instruments
 from repro.sim.metrics import TrafficCategory
 from repro.sim.random import RandomStreams
 from repro.simulation.config import ALGORITHMS, TOPOLOGIES, RunConfig, paper_config, scaled_config
@@ -61,19 +62,10 @@ class ExperimentScale:
     use_physical_network: bool = True
     algorithms: Tuple[str, ...] = ALGORITHMS
     topologies: Tuple[str, ...] = TOPOLOGIES
-    # Attach a RunProfile to every grid cell's RunResult (repro.obs).
-    profile: bool = False
-    # Run the invariant auditor in every cell (repro.obs.audit): each
-    # RunResult then carries an AuditReport and a run fingerprint.
-    audit: bool = False
-    # Collect streaming telemetry in every cell (repro.obs.telemetry):
-    # each RunResult then carries a mergeable TelemetrySummary -- the
-    # trace-free path to the Fig. 9 per-window load view and hotspots.
-    telemetry: bool = False
-    # Record protocol-state snapshots in every cell (repro.obs.probes):
-    # each RunResult then carries a mergeable ProbeSummary -- per-tick ad
-    # coverage, staleness and cache-health series.
-    probes: bool = False
+    # Observability layers every grid cell attaches (repro.obs): each
+    # RunResult then carries their frozen results.  Frozen and hashable,
+    # so the scale stays a key of ExperimentGrid._shared.
+    instruments: Instruments = Instruments()
     # Worker processes for grid population (1 = serial, 0 = all cores).
     jobs: int = 1
 
@@ -124,11 +116,7 @@ class ExperimentGrid:
         cached = self._results.get(key)
         if cached is None:
             cached = run_experiment(
-                self.scale.config(algorithm, topology),
-                profile=self.scale.profile,
-                audit=self.scale.audit,
-                telemetry=self.scale.telemetry,
-                probes=self.scale.probes,
+                self.scale.config(algorithm, topology), self.scale.instruments
             )
             self._results[key] = cached
         return cached
@@ -162,10 +150,7 @@ class ExperimentGrid:
         outcomes = run_cells(
             [self.scale.config(algo, topo) for algo, topo in missing],
             jobs=self.scale.jobs,
-            profile=self.scale.profile,
-            audit=self.scale.audit,
-            telemetry=self.scale.telemetry,
-            probes=self.scale.probes,
+            instruments=self.scale.instruments,
             live=live,
             progress=progress,
         )

@@ -23,11 +23,13 @@ module exploits that:
 * ``jobs=1`` (or a single cell) falls back to a plain serial loop in the
   calling process -- no pool, no pickling, same failure isolation.
 
-What travels back from a worker is the full :class:`~repro.simulation.
-results.RunResult` -- summary inputs, bandwidth ledger, optional
-:class:`~repro.obs.profile.RunProfile` and cache diagnostics -- all plain
-data, so ``--profile`` accounting under parallelism is exact per cell and
-mergeable in the parent (:func:`repro.obs.profile.merge_profiles`).
+Every cell attaches the same picklable
+:class:`~repro.obs.instruments.Instruments` spec.  What travels back from
+a worker is the full :class:`~repro.simulation.results.RunResult` --
+summary inputs, bandwidth ledger and each instrument's frozen result, all
+plain data -- so per-cell profiles, audits, telemetry and probe summaries
+are exact wherever the cell ran, and fold in the parent with
+:func:`repro.obs.instruments.merge_all` in input order.
 """
 
 from __future__ import annotations
@@ -38,10 +40,11 @@ import os
 import tempfile
 import traceback
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.network.substrate import get_substrate
+from repro.obs.instruments import Instruments
 from repro.simulation.config import RunConfig
 from repro.simulation.results import RunResult
 from repro.simulation.runner import run_experiment
@@ -49,7 +52,6 @@ from repro.simulation.runner import run_experiment
 __all__ = [
     "CellFailure",
     "CellOutcome",
-    "cell_trace_name",
     "resolve_jobs",
     "run_cells",
 ]
@@ -83,83 +85,26 @@ def resolve_jobs(jobs: Optional[int]) -> int:
     return jobs
 
 
-def cell_trace_name(config: RunConfig) -> str:
-    """Deterministic per-cell trace filename inside a ``trace_dir``."""
-    return f"{config.algorithm}-{config.topology}-seed{config.seed}.jsonl"
-
-
-def cell_label(config: RunConfig) -> str:
-    """Short human-readable cell identity for telemetry and live status."""
-    return f"{config.algorithm}/{config.topology}/seed{config.seed}"
-
-
 def _run_cell(
     config: RunConfig,
-    profile: bool,
-    collect_diagnostics: bool,
-    audit: bool = False,
-    trace_dir: Optional[str] = None,
-    telemetry: bool = False,
+    instruments: Instruments,
     status_path: Optional[str] = None,
     status_fn: Optional[Callable[[Dict], None]] = None,
-    probes: bool = False,
 ) -> CellOutcome:
     """Worker body: run one cell, trading exceptions for a CellFailure.
 
-    With ``trace_dir``, the cell's trace is streamed to its own JSONL
-    file (``cell_trace_name``), so parallel workers never share a stream;
-    with ``audit``, the returned result carries the cell's
-    :class:`~repro.obs.audit.AuditReport` and fingerprint (an audit
-    *violation* is a finding on a successful run, not a CellFailure).
-    With ``telemetry``, the cell accumulates streaming telemetry and the
-    result carries its :class:`~repro.obs.telemetry.TelemetrySummary`;
-    ``status_path`` additionally streams live status snapshots to that
-    file (read by the parent's ``--live`` polling loop; the snapshots are
-    transient and never affect the returned summary).
+    An audit *violation* is a finding on a successful run, not a
+    CellFailure.  ``status_path``/``status_fn`` are the telemetry layer's
+    live status sinks (a snapshot file the parent's ``live`` loop polls,
+    or a callback in the serial path); they never change the result.
     """
     try:
-        tel = False
-        if telemetry or status_path is not None or status_fn is not None:
-            from repro.obs.telemetry import Telemetry
-
-            tel = Telemetry(
-                status_path=status_path,
-                status_fn=status_fn,
-                label=cell_label(config),
-            )
-        if trace_dir is None and not audit:
-            return run_experiment(
-                config,
-                profile=profile,
-                collect_diagnostics=collect_diagnostics,
-                telemetry=tel,
-                probes=probes,
-            )
-        from repro.obs.trace import Tracer
-
-        if trace_dir is None:
-            tracer = Tracer(keep=True)
-            return run_experiment(
-                config,
-                tracer=tracer,
-                profile=profile,
-                collect_diagnostics=collect_diagnostics,
-                audit=audit,
-                telemetry=tel,
-                probes=probes,
-            )
-        path = os.path.join(trace_dir, cell_trace_name(config))
-        with open(path, "w") as fh:
-            tracer = Tracer(stream=fh, keep=True)
-            return run_experiment(
-                config,
-                tracer=tracer,
-                profile=profile,
-                collect_diagnostics=collect_diagnostics,
-                audit=audit,
-                telemetry=tel,
-                probes=probes,
-            )
+        return run_experiment(
+            config,
+            instruments=instruments,
+            status_path=status_path,
+            status_fn=status_fn,
+        )
     except Exception as exc:
         return CellFailure(
             config=config, error=repr(exc), traceback=traceback.format_exc()
@@ -179,12 +124,7 @@ def run_cells(
     configs: Sequence[RunConfig],
     jobs: Optional[int] = 1,
     *,
-    profile: bool = False,
-    collect_diagnostics: bool = False,
-    audit: bool = False,
-    trace_dir: Optional[str] = None,
-    telemetry: bool = False,
-    probes: bool = False,
+    instruments: Instruments = Instruments(),
     live: Optional[Callable[[str], None]] = None,
     progress: Optional[Callable[[str], None]] = None,
 ) -> List[CellOutcome]:
@@ -195,29 +135,20 @@ def run_cells(
     :class:`CellFailure` on error.  Output is bit-identical to running the
     same configs serially (all randomness flows from per-config seeds).
 
-    ``audit=True`` runs the invariant auditor in each cell (the report
-    travels back on the result, like profiles do); ``trace_dir`` streams
-    each cell's trace to its own deterministically named JSONL file in
-    that directory (created if missing).
-
-    ``telemetry=True`` collects streaming telemetry per cell; each result
-    carries a :class:`~repro.obs.telemetry.TelemetrySummary` whose merge
-    (in input order) is bit-identical whether the cells ran serially or
-    across workers.  ``probes=True`` does the same for protocol-state
-    snapshots (each result carries a
-    :class:`~repro.obs.probes.ProbeSummary`, same input-order merge
-    guarantee).  ``live`` is an optional ``callable(str)`` receiving a
-    one-line status rendering (per-cell progress and current hotspots,
-    streamed out of worker processes through per-cell snapshot files);
-    it implies telemetry collection.
+    Every cell attaches the same ``instruments``
+    (:class:`repro.obs.instruments.Instruments`); their results travel
+    back on each RunResult and fold across cells with
+    :func:`repro.obs.instruments.merge_all` in input order, bit-identical
+    whether the cells ran serially or across workers.  ``live`` is an
+    optional ``callable(str)`` receiving a one-line status rendering
+    (per-cell progress and current hotspots, streamed out of worker
+    processes through per-cell snapshot files); it implies telemetry.
     """
     configs = list(configs)
     n_jobs = min(resolve_jobs(jobs), len(configs))
     log = progress or (lambda _msg: None)
-    if trace_dir is not None:
-        os.makedirs(trace_dir, exist_ok=True)
-        trace_dir = str(trace_dir)
-    telemetry = telemetry or live is not None
+    if live is not None:
+        instruments = replace(instruments, telemetry=True)
 
     if n_jobs <= 1:
         results: List[CellOutcome] = []
@@ -229,10 +160,7 @@ def run_cells(
                         f"[{_i + 1}/{_n}] {_format_snapshot(snap)}"
                     )
                 )
-            outcome = _run_cell(
-                config, profile, collect_diagnostics, audit, trace_dir,
-                telemetry, None, status_fn, probes,
-            )
+            outcome = _run_cell(config, instruments, status_fn=status_fn)
             _log_outcome(log, i, len(configs), outcome)
             results.append(outcome)
         return results
@@ -251,13 +179,12 @@ def run_cells(
         with ProcessPoolExecutor(max_workers=n_jobs, mp_context=mp_context) as pool:
             future_index = {
                 pool.submit(
-                    _run_cell, config, profile, collect_diagnostics, audit,
-                    trace_dir, telemetry,
+                    _run_cell,
+                    config,
+                    instruments,
                     os.path.join(status_dir, f"cell{i}.json")
                     if status_dir is not None
                     else None,
-                    None,
-                    probes,
                 ): i
                 for i, config in enumerate(configs)
             }

@@ -3,8 +3,8 @@
 Usage::
 
     python -m repro.experiments.runall [--peers N] [--queries Q] [--seed S]
-                                       [--jobs J] [--profile] [--telemetry]
-                                       [--probes] [--live]
+                                       [--jobs J] [--profile] [--audit]
+                                       [--telemetry] [--probes] [--live]
                                        [--output report.md]
 
 Runs the full (algorithm x topology) grid once, renders all ten figures,
@@ -38,6 +38,7 @@ from repro.experiments.figures import (
     fig9_load_variation,
     fig10_realtime_load,
 )
+from repro.obs.instruments import Instruments, merge_all
 
 __all__ = ["main", "build_report"]
 
@@ -140,9 +141,8 @@ def build_report(
     )
     sections += ["## Shape checks", ""] + checks + [""]
 
-    if scale.telemetry:
-        from repro.obs.telemetry import merge_summaries
-
+    instruments = scale.instruments
+    if instruments.telemetry:
         log("telemetry")
         sections += ["## Telemetry", ""]
         # The Figure 9 view from streaming sketches alone -- per-window
@@ -179,7 +179,7 @@ def build_report(
                 "```",
                 "",
             ]
-        merged = merge_summaries(
+        merged = merge_all(
             grid.result(algo, topo).telemetry
             for algo, topo in _report_cells(scale)
         )
@@ -217,9 +217,7 @@ def build_report(
             "",
         ]
 
-    if scale.probes:
-        from repro.obs.probes import merge_probe_summaries
-
+    if instruments.probes:
         log("protocol state")
         sections += ["## Protocol state", ""]
         # The state-level view of the paper's pre-positioning claim: ad
@@ -261,7 +259,7 @@ def build_report(
                 "```",
                 "",
             ]
-        merged = merge_probe_summaries(
+        merged = merge_all(
             grid.result(algo, topo).probes
             for algo, topo in _report_cells(scale)
         )
@@ -275,7 +273,7 @@ def build_report(
                 "",
             ]
 
-    if scale.audit:
+    if instruments.audit:
         log("audit")
         sections += ["## Audit", ""]
         any_violation = False
@@ -296,9 +294,7 @@ def build_report(
         if any_violation:
             sections += ["**Audit violations detected.**", ""]
 
-    if scale.profile:
-        from repro.obs.profile import merge_profiles
-
+    if instruments.profile:
         log("run profiles")
         sections += ["## Run profiles", ""]
         profiles = []
@@ -324,7 +320,7 @@ def build_report(
                 "### sweep total (all cells merged)",
                 "",
                 "```",
-                merge_profiles(profiles).format_table(),
+                merge_all(profiles).format_table(),
                 "```",
                 "",
             ]
@@ -378,10 +374,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         n_peers=args.peers,
         n_queries=args.queries,
         seed=args.seed,
-        profile=args.profile,
-        audit=args.audit,
-        telemetry=args.telemetry or args.live,
-        probes=args.probes,
+        instruments=Instruments(
+            profile=args.profile,
+            audit=args.audit,
+            telemetry=args.telemetry or args.live,
+            probes=args.probes,
+        ),
         jobs=args.jobs,
     )
     start = time.time()

@@ -1,6 +1,9 @@
 """Observability for the simulation stack: tracing, profiling, metrics.
 
-Six layers, all opt-in and zero-cost when disabled:
+Six layers, all opt-in and zero-cost when disabled.  One frozen
+:class:`Instruments` spec says which of them a run attaches
+(``run_experiment(config, Instruments(...))``), and :func:`merge_all`
+folds their per-run results across cells in input order:
 
 * :mod:`repro.obs.trace`   -- structured event/span tracing to JSONL
   (optionally gzip-compressed, ``trace.jsonl.gz``);
@@ -11,17 +14,17 @@ Six layers, all opt-in and zero-cost when disabled:
   JSON and Prometheus text via ``python -m repro.obs.report``;
 * :mod:`repro.obs.telemetry` -- constant-memory streaming telemetry:
   windowed load series, quantile sketches and heavy-hitter hotspots,
-  mergeable across cells (``run_experiment(config, telemetry=True)``,
+  mergeable across cells (``Instruments(telemetry=True)``,
   ``python -m repro.obs.report telemetry``, ``runall --telemetry``);
 * :mod:`repro.obs.probes` -- periodic protocol-*state* snapshots over the
   struct-of-arrays arena: per-source ad coverage, staleness sketches,
   measured Bloom FP rate and cache health, bit-identical across storage
   backends and across serial/parallel execution
-  (``run_experiment(config, probes=True)``, ``runall --probes``,
+  (``Instruments(probes=True)``, ``runall --probes``,
   ``report telemetry --probes``);
 * :mod:`repro.obs.analyze` + :mod:`repro.obs.audit` -- causal lifecycle
   reconstruction from traces, runtime invariant checks and deterministic
-  run fingerprints (``run_experiment(config, audit=True)``,
+  run fingerprints (``Instruments(audit=True)``,
   ``python -m repro.obs.report audit`` / ``analyze``).
 """
 
@@ -32,6 +35,7 @@ from repro.obs.audit import (
     audit_run,
     run_fingerprint,
 )
+from repro.obs.instruments import Instruments, merge_all
 from repro.obs.metrics import (
     CounterMetric,
     DEFAULT_BUCKETS,
@@ -46,7 +50,6 @@ from repro.obs.probes import (
     ProbeRecorder,
     ProbeSummary,
     check_arena_health,
-    merge_probe_summaries,
     pow2_sketch,
     snapshot_backend,
     snapshot_state,
@@ -55,7 +58,6 @@ from repro.obs.profile import (
     PhaseStats,
     Profiler,
     RunProfile,
-    merge_profiles,
     subsystem_of,
 )
 from repro.obs.telemetry import (
@@ -65,7 +67,6 @@ from repro.obs.telemetry import (
     SpaceSaving,
     Telemetry,
     TelemetrySummary,
-    merge_summaries,
     quantile_nearest_rank,
 )
 from repro.obs.trace import (
@@ -86,6 +87,7 @@ __all__ = [
     "DEFAULT_BUCKETS",
     "GaugeMetric",
     "HistogramMetric",
+    "Instruments",
     "LogBucketSketch",
     "MetricsRegistry",
     "NULL_TELEMETRY",
@@ -110,9 +112,7 @@ __all__ = [
     "check_arena_health",
     "diff_flat",
     "flatten",
-    "merge_probe_summaries",
-    "merge_profiles",
-    "merge_summaries",
+    "merge_all",
     "open_text_maybe_gzip",
     "pow2_sketch",
     "quantile_nearest_rank",

@@ -29,12 +29,12 @@ derived from ``frexp`` -- pure bit manipulation, so arena and reference
 snapshots of the same simulated tick are **bit-identical** in their
 protocol-state section (the backend section differs by construction; the
 arena has stats, the reference store does not).  Cell summaries merge in
-input order exactly like :func:`repro.obs.telemetry.merge_summaries`, so
-``--jobs N`` output is bit-identical to serial.
+input order (:func:`repro.obs.instruments.merge_all`), so ``--jobs N``
+output is bit-identical to serial.
 
 Usage::
 
-    result = run_experiment(config, probes=True)
+    result = run_experiment(config, Instruments(probes=True))
     result.probes.format_state_table()      # Fig-style coverage/staleness
     result.probes.fingerprint()             # baseline-able identity
 
@@ -46,7 +46,7 @@ from __future__ import annotations
 import json
 import math
 from hashlib import blake2b
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -57,7 +57,6 @@ __all__ = [
     "ProbeRecorder",
     "ProbeSummary",
     "check_arena_health",
-    "merge_probe_summaries",
     "pow2_sketch",
     "snapshot_backend",
     "snapshot_state",
@@ -508,23 +507,6 @@ class ProbeSummary:
                 f"{tick['occupancy']['at_capacity']:>7d} {fp_mean:>9.5f}"
             )
         return "\n".join(lines)
-
-
-def merge_probe_summaries(
-    summaries: Iterable[Optional[ProbeSummary]],
-) -> Optional[ProbeSummary]:
-    """Left-fold ``merge`` in input order, skipping ``None`` entries.
-
-    Input-order determinism is the parallel-execution contract: cells
-    merged in config order give bit-identical output no matter which
-    worker ran which cell (same guarantee as ``merge_summaries``).
-    """
-    merged: Optional[ProbeSummary] = None
-    for summary in summaries:
-        if summary is None:
-            continue
-        merged = summary if merged is None else merged.merge(summary)
-    return merged
 
 
 # --------------------------------------------------------------- recorder

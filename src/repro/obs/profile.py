@@ -22,7 +22,7 @@ from __future__ import annotations
 import resource
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Optional
+from typing import Callable, Dict, Optional
 
 from repro.obs.trace import NULL_TRACER, Tracer
 
@@ -30,7 +30,6 @@ __all__ = [
     "PhaseStats",
     "Profiler",
     "RunProfile",
-    "merge_profiles",
     "peak_rss_mb",
     "subsystem_of",
 ]
@@ -110,6 +109,38 @@ class RunProfile:
             "phases": {k: v.to_dict() for k, v in sorted(self.phases.items())},
         }
 
+    def merge(self, other: "RunProfile") -> "RunProfile":
+        """Return a new profile folding ``other`` into this one.
+
+        Used by parallel sweeps: each worker profiles its own cells
+        exactly, and the parent folds the returned profiles
+        (:func:`repro.obs.instruments.merge_all`).  Counts and wall-clock
+        add up (wall is the *sum* of per-worker callback time --
+        CPU-seconds of simulation work, not elapsed time); the simulated
+        end time is the maximum.  Peak RSS is a per-process high-water
+        mark, so the merged figure is the worst cell, not a sum.  Arena
+        stats keep the snapshot with the most rows allocated whole (the
+        later one on ties; mixing rows from different pools is
+        meaningless).  ``RunProfile()`` is the identity.
+        """
+        arena = self.arena
+        if other.arena and other.arena.get("rows_allocated", 0) >= arena.get(
+            "rows_allocated", 0
+        ):
+            arena = other.arena
+        return RunProfile(
+            subsystems=_merge_buckets(self.subsystems, other.subsystems),
+            phases=_merge_buckets(self.phases, other.phases),
+            events=self.events + other.events,
+            wall_s=self.wall_s + other.wall_s,
+            engine_events=self.engine_events + other.engine_events,
+            engine_pending_live=self.engine_pending_live
+            + other.engine_pending_live,
+            sim_end_s=max(self.sim_end_s, other.sim_end_s),
+            peak_rss_mb=max(self.peak_rss_mb, other.peak_rss_mb),
+            arena=dict(arena),
+        )
+
     def format_table(self) -> str:
         lines = ["run profile"]
         lines.append(
@@ -147,40 +178,15 @@ class RunProfile:
         return "\n".join(lines)
 
 
-def merge_profiles(profiles: Iterable[RunProfile]) -> RunProfile:
-    """Aggregate per-run profiles into one sweep-level :class:`RunProfile`.
-
-    Used by parallel sweeps: each worker profiles its own cells exactly,
-    and the parent merges the returned profiles so ``--profile`` totals
-    stay correct under parallelism.  Counts and wall-clock add up (wall is
-    the *sum* of per-worker callback time -- CPU-seconds of simulation
-    work, not elapsed time); the simulated end time is the maximum.
-    """
-    merged = RunProfile()
-    for profile in profiles:
-        merged.events += profile.events
-        merged.wall_s += profile.wall_s
-        merged.engine_events += profile.engine_events
-        merged.engine_pending_live += profile.engine_pending_live
-        merged.sim_end_s = max(merged.sim_end_s, profile.sim_end_s)
-        # Peak RSS is a per-process high-water mark: the sweep-level figure
-        # is the worst cell, not a sum.  Arena stats keep the largest
-        # snapshot whole (mixing rows from different pools is meaningless).
-        merged.peak_rss_mb = max(merged.peak_rss_mb, profile.peak_rss_mb)
-        if profile.arena and profile.arena.get(
-            "rows_allocated", 0
-        ) >= merged.arena.get("rows_allocated", 0):
-            merged.arena = dict(profile.arena)
-        for buckets, add in (
-            (merged.subsystems, profile.subsystems),
-            (merged.phases, profile.phases),
-        ):
-            for name, stats in add.items():
-                acc = buckets.get(name)
-                if acc is None:
-                    acc = buckets[name] = PhaseStats()
-                acc.events += stats.events
-                acc.wall_s += stats.wall_s
+def _merge_buckets(
+    a: Dict[str, PhaseStats], b: Dict[str, PhaseStats]
+) -> Dict[str, PhaseStats]:
+    """Key-wise sum of two bucket maps (``a``'s keys first, then ``b``'s)."""
+    merged = {name: PhaseStats(s.events, s.wall_s) for name, s in a.items()}
+    for name, stats in b.items():
+        acc = merged.setdefault(name, PhaseStats())
+        acc.events += stats.events
+        acc.wall_s += stats.wall_s
     return merged
 
 

@@ -38,9 +38,11 @@ trace file -- and writes ``telemetry.json`` + ``telemetry.prom`` next to
 a Fig-9-style per-window table on stdout.  ``--live`` streams a status
 line to stderr while cells run.
 
-``--replications N --jobs J`` additionally replays seeds ``seed .. seed+N-1``
-across ``J`` worker processes and folds the across-seed metric spread plus
-the merged run profiles into the report (``repro_replication_*`` series).
+``--replications N --jobs J`` additionally replays seeds
+``seed+1 .. seed+N-1`` across ``J`` worker processes and folds the
+across-seed metric spread of all ``N`` runs (the in-process run of
+``seed`` included) plus their merged run profiles into the report
+(``repro_replication_*`` series).
 
 Examples::
 
@@ -65,6 +67,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
+from repro.obs.instruments import Instruments, merge_all
 from repro.obs.metrics import MetricsRegistry, diff_flat, flatten
 from repro.obs.trace import Tracer
 
@@ -294,34 +297,35 @@ def render_diff(a: dict, b: dict, label_a: str = "a", label_b: str = "b") -> str
     return "\n".join(lines)
 
 
-def _replication_metrics(reg: MetricsRegistry, config, args) -> None:
+def _replication_metrics(reg: MetricsRegistry, result, config, args) -> None:
     """Run the extra seeds (in parallel) and export their spread + profile.
 
-    Seeds ``seed+1 .. seed+replications-1`` fan out across ``--jobs``
-    worker processes; the registry gains ``repro_replication_*`` gauges
-    (mean/std/min/max per summary metric) and merged sweep-profile totals,
-    so ``--profile``-style accounting stays correct under parallelism.
+    ``result`` is the in-process run of ``seed``; only seeds
+    ``seed+1 .. seed+replications-1`` fan out across ``--jobs`` worker
+    processes.  The registry gains ``repro_replication_*`` gauges
+    (mean/std/min/max per summary metric over all ``replications`` runs)
+    and merged sweep-profile totals, so ``--profile``-style accounting
+    stays correct under parallelism.
     """
     from dataclasses import replace
 
     from repro.experiments.parallel import CellFailure, run_cells
-    from repro.obs.profile import merge_profiles
     from repro.simulation.replication import _NUMERIC_FIELDS, MetricSpread
 
     configs = [
-        replace(config, seed=config.seed + i) for i in range(args.replications)
+        replace(config, seed=config.seed + i) for i in range(1, args.replications)
     ]
     outcomes = run_cells(
         configs,
         jobs=args.jobs,
-        profile=True,
+        instruments=Instruments(profile=True),
         progress=lambda msg: print(msg, file=sys.stderr),
     )
     failures = [o for o in outcomes if isinstance(o, CellFailure)]
     for failure in failures:
         print(failure.describe(), file=sys.stderr)
         print(failure.traceback, file=sys.stderr)
-    results = [o for o in outcomes if not isinstance(o, CellFailure)]
+    results = [result] + [o for o in outcomes if not isinstance(o, CellFailure)]
     summaries = [r.summarize() for r in results]
 
     reg.gauge(
@@ -338,7 +342,7 @@ def _replication_metrics(reg: MetricsRegistry, config, args) -> None:
                 "Across-seed spread of a RunSummary metric.",
                 stat=stat,
             ).set(getattr(spread, stat))
-    merged = merge_profiles([r.profile for r in results if r.profile])
+    merged = merge_all(r.profile for r in results)
     reg.counter(
         "repro_replication_dispatched_events_total",
         "Engine events dispatched across all replications.",
@@ -375,9 +379,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     try:
         result = run_experiment(
             config,
+            Instruments(profile=True, diagnostics=True),
             tracer=tracer,
-            profile=True,
-            collect_diagnostics=True,
             progress=lambda msg: print(msg, file=sys.stderr),
         )
     finally:
@@ -386,7 +389,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     registry = build_registry(result, run_labels={"seed": str(args.seed)})
     if args.replications > 1:
-        _replication_metrics(registry, config, args)
+        _replication_metrics(registry, result, config, args)
     json_path = out_dir / "metrics.json"
     prom_path = out_dir / "metrics.prom"
     json_path.write_text(registry.to_json() + "\n")
@@ -472,7 +475,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     trace_path = out_dir / "trace.jsonl"
     with io.open(trace_path, "w") as stream:
         tracer = Tracer(stream=stream, keep=True)
-        result = run_experiment(config, tracer=tracer, audit=True)
+        result = run_experiment(config, Instruments(audit=True), tracer=tracer)
     report = result.audit
 
     audit_path = out_dir / "audit.json"
@@ -507,7 +510,6 @@ def _cmd_telemetry(args: argparse.Namespace) -> int:
     from dataclasses import replace
 
     from repro.experiments.parallel import CellFailure, run_cells
-    from repro.obs.telemetry import merge_summaries
     from repro.simulation.config import scaled_config
 
     config = scaled_config(
@@ -532,8 +534,7 @@ def _cmd_telemetry(args: argparse.Namespace) -> int:
     outcomes = run_cells(
         configs,
         jobs=args.jobs,
-        telemetry=True,
-        probes=args.probes,
+        instruments=Instruments(telemetry=True, probes=args.probes),
         live=live,
         progress=lambda msg: print(msg, file=sys.stderr),
     )
@@ -544,7 +545,7 @@ def _cmd_telemetry(args: argparse.Namespace) -> int:
     if failures:
         return 1
     # Input-order fold: bit-identical no matter how --jobs scheduled cells.
-    summary = merge_summaries(o.telemetry for o in outcomes)
+    summary = merge_all(o.telemetry for o in outcomes)
     if summary is None:
         # Every cell came back without a telemetry section (e.g. the
         # accumulator was disabled in this build): report it instead of
@@ -583,11 +584,7 @@ def _cmd_telemetry(args: argparse.Namespace) -> int:
     print(summary.format_hotspots())
 
     if args.probes:
-        from repro.obs.probes import merge_probe_summaries
-
-        probe_summary = merge_probe_summaries(
-            getattr(o, "probes", None) for o in outcomes
-        )
+        probe_summary = merge_all(o.probes for o in outcomes)
         if probe_summary is None:
             print(
                 "no probe snapshots collected: none of the cells produced "

@@ -62,7 +62,6 @@ __all__ = [
     "TELEMETRY_SCHEMA_VERSION",
     "Telemetry",
     "TelemetrySummary",
-    "merge_summaries",
     "quantile_nearest_rank",
 ]
 
@@ -189,19 +188,6 @@ class LogBucketSketch:
         sketch.max = -math.inf if d["max"] is None else float(d["max"])
         sketch.buckets = {int(k): int(v) for k, v in d["buckets"].items()}
         return sketch
-
-    def summary_dict(self, quantiles: Sequence[float] = (0.5, 0.9, 0.99)) -> Dict[str, Any]:
-        """Small human-facing digest (count/mean/extremes/quantiles)."""
-        out: Dict[str, Any] = {
-            "count": self.count,
-            "mean": None if self.count == 0 else self.mean,
-            "min": None if self.count == 0 else self.min,
-            "max": None if self.count == 0 else self.max,
-        }
-        for q in quantiles:
-            v = self.quantile(q)
-            out[f"p{int(q * 100)}"] = None if math.isnan(v) else v
-        return out
 
 
 class SpaceSaving:
@@ -343,7 +329,8 @@ class Telemetry:
     """The live, mutable telemetry accumulator attached to one run.
 
     Construct with ``window_s`` (window width in simulation seconds) and
-    attach via ``run_experiment(..., telemetry=True)`` or directly with
+    attach via ``run_experiment(config, Instruments(telemetry=True))``
+    (default window, labelled with the run) or directly with
     ``algorithm.set_telemetry(t)`` / ``engine.set_telemetry(t)``.  Call
     :meth:`summary` once the run completes to freeze it into a mergeable
     :class:`TelemetrySummary`.
@@ -855,22 +842,6 @@ def _window_to_dict(win: Dict[str, Any]) -> Dict[str, Any]:
     out["top_peers"] = _sorted_dict(win["top_peers"])
     out["top_links"] = _sorted_dict(win["top_links"])
     return out
-
-
-def merge_summaries(
-    summaries: Iterable[Optional["TelemetrySummary"]],
-) -> Optional["TelemetrySummary"]:
-    """Fold summaries left-to-right (input order -- the determinism contract).
-
-    ``None`` entries are skipped; an empty input yields ``None`` (the merge
-    identity), so ``merge_summaries([])`` composes cleanly.
-    """
-    merged: Optional[TelemetrySummary] = None
-    for s in summaries:
-        if s is None:
-            continue
-        merged = s if merged is None else merged.merge(s)
-    return merged
 
 
 class NullTelemetry(Telemetry):

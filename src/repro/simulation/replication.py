@@ -15,6 +15,7 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
+from repro.obs.instruments import Instruments, merge_all
 from repro.simulation.config import RunConfig
 from repro.simulation.results import RunSummary
 
@@ -71,12 +72,12 @@ class ReplicatedSummary:
     seeds: List[int]
     metrics: Dict[str, MetricSpread]
     summaries: List[RunSummary]
-    # Per-seed audit reports + fingerprints when run with audit=True
-    # (repro.obs.audit.AuditReport entries, in seed order).
+    # Per-seed audit reports + fingerprints when run with the audit
+    # instrument (repro.obs.audit.AuditReport entries, in seed order).
     audits: List[object] = field(default_factory=list)
     fingerprints: List[str] = field(default_factory=list)
-    # Per-seed telemetry summaries (telemetry=True), in seed order, plus
-    # their deterministic input-order merge across all seeds.
+    # Per-seed telemetry summaries (telemetry instrument), in seed order,
+    # plus their deterministic input-order merge across all seeds.
     telemetries: List[object] = field(default_factory=list)
     telemetry: object = None
 
@@ -98,8 +99,7 @@ def run_replications(
     config: RunConfig,
     n_seeds: int = 5,
     jobs: int = 1,
-    audit: bool = False,
-    telemetry: bool = False,
+    instruments: Instruments = Instruments(),
 ) -> ReplicatedSummary:
     """Run ``config`` under ``n_seeds`` independent seeds and aggregate.
 
@@ -109,8 +109,10 @@ def run_replications(
     its own randomness, so the aggregate is bit-identical to ``jobs=1``.
     A failed replication raises, carrying the worker's traceback.
 
-    ``telemetry=True`` collects a streaming telemetry summary per seed and
-    merges them in seed order into ``ReplicatedSummary.telemetry``.
+    Every seed attaches ``instruments``.  With ``audit``, the per-seed
+    reports and fingerprints are kept in seed order; with ``telemetry``,
+    the per-seed summaries are kept and folded in seed order into
+    ``ReplicatedSummary.telemetry``.
     """
     # Imported here to break the package cycle (parallel builds on runner).
     from repro.experiments.parallel import CellFailure, run_cells
@@ -119,39 +121,27 @@ def run_replications(
         raise ValueError("need at least one replication")
     seeds = [config.seed + i for i in range(n_seeds)]
     configs = [replace(config, seed=seed) for seed in seeds]
-    outcomes = run_cells(configs, jobs=jobs, audit=audit, telemetry=telemetry)
-    summaries: List[RunSummary] = []
-    audits: List[object] = []
-    fingerprints: List[str] = []
-    telemetries: List[object] = []
+    outcomes = run_cells(configs, jobs=jobs, instruments=instruments)
     for outcome in outcomes:
         if isinstance(outcome, CellFailure):
             raise RuntimeError(
                 f"replication {outcome.describe()}\n{outcome.traceback}"
             )
-        summaries.append(outcome.summarize())
-        if audit:
-            audits.append(outcome.audit)
-            fingerprints.append(outcome.fingerprint)
-        if telemetry:
-            telemetries.append(outcome.telemetry)
+    summaries = [outcome.summarize() for outcome in outcomes]
     metrics = {
         name: MetricSpread.of([getattr(s, name) for s in summaries])
         for name in _NUMERIC_FIELDS
     }
-    merged_telemetry = None
-    if telemetry:
-        from repro.obs.telemetry import merge_summaries
-
-        merged_telemetry = merge_summaries(telemetries)
+    audited = outcomes if instruments.audit else []
+    telemetries = [o.telemetry for o in outcomes] if instruments.telemetry else []
     return ReplicatedSummary(
         algorithm=summaries[0].algorithm,
         topology=config.topology,
         seeds=seeds,
         metrics=metrics,
         summaries=summaries,
-        audits=audits,
-        fingerprints=fingerprints,
+        audits=[o.audit for o in audited],
+        fingerprints=[o.fingerprint for o in audited],
         telemetries=telemetries,
-        telemetry=merged_telemetry,
+        telemetry=merge_all(telemetries),
     )

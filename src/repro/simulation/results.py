@@ -72,19 +72,19 @@ class RunResult:
     live_counts: np.ndarray  # live peers at each second of the window
     t_start: int  # measurement window start (trace start, post warm-up)
     t_end: int  # exclusive
-    # Observability extras, populated when the runner is asked for them.
+    # Observability extras, one per enabled repro.obs.Instruments layer.
     profile: Optional[RunProfile] = None  # per-subsystem/phase accounting
     cache_diagnostics: Optional[CacheDiagnostics] = None  # ASAP runs only
-    # Invariant audit + deterministic run fingerprint (run_experiment
-    # with audit=True); the report is an repro.obs.audit.AuditReport.
+    # Invariant audit + deterministic run fingerprint (``audit``); the
+    # report is a repro.obs.audit.AuditReport.
     audit: Optional[object] = None
     fingerprint: Optional[str] = None
-    # Streaming telemetry digest (run_experiment with telemetry=True);
-    # a repro.obs.telemetry.TelemetrySummary -- windowed load series,
+    # Streaming telemetry digest (``telemetry``); a
+    # repro.obs.telemetry.TelemetrySummary -- windowed load series,
     # quantile sketches and hotspot heavy hitters, mergeable across cells.
     telemetry: Optional[object] = None
-    # Protocol-state snapshot series (run_experiment with probes=True);
-    # a repro.obs.probes.ProbeSummary -- per-tick ad coverage, staleness,
+    # Protocol-state snapshot series (``probes``); a
+    # repro.obs.probes.ProbeSummary -- per-tick ad coverage, staleness,
     # Bloom FP and cache-health series, mergeable across cells.
     probes: Optional[object] = None
 

@@ -16,17 +16,26 @@ the queries and collect the results"):
 
 Determinism: all randomness flows from ``config.seed`` through named
 substreams, so a config reproduces its results exactly.
+
+Observability: one :class:`~repro.obs.instruments.Instruments` spec says
+which opt-in layers the replay attaches (profile, cache diagnostics,
+audit, telemetry, probes, a per-run trace file).  The runner builds each
+of them for the run and freezes its result onto the RunResult; none of
+them changes what the simulation does.
 """
 
 from __future__ import annotations
 
+import os
 import time
+from contextlib import ExitStack
 from dataclasses import replace
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 
 from repro.asap.protocol import AsapParams, AsapSearch
+from repro.obs.instruments import Instruments
 from repro.obs.profile import Profiler, peak_rss_mb
 from repro.obs.telemetry import Telemetry
 from repro.obs.trace import NULL_TRACER, Tracer
@@ -51,7 +60,7 @@ from repro.workload.trace import (
     QueryEvent,
 )
 
-__all__ = ["run_experiment", "build_algorithm"]
+__all__ = ["build_algorithm", "cell_label", "cell_trace_name", "run_experiment"]
 
 
 def build_algorithm(
@@ -116,242 +125,243 @@ def build_algorithm(
     )
 
 
+def cell_label(config: RunConfig) -> str:
+    """Short human-readable run identity for telemetry, probes and status."""
+    return f"{config.algorithm}/{config.topology}/seed{config.seed}"
+
+
+def cell_trace_name(config: RunConfig) -> str:
+    """Deterministic per-run trace filename inside a ``trace_dir``."""
+    return f"{config.algorithm}-{config.topology}-seed{config.seed}.jsonl"
+
+
 def run_experiment(
     config: RunConfig,
+    instruments: Instruments = Instruments(),
     *,
     tracer: Optional[Tracer] = None,
-    profile: bool = False,
-    collect_diagnostics: bool = False,
-    audit: bool = False,
-    telemetry=False,
-    probes=False,
     progress=None,
     phase_times: Optional[dict] = None,
+    status_path: Optional[str] = None,
+    status_fn: Optional[Callable[[dict], None]] = None,
 ) -> RunResult:
     """Execute one full trace replay and return its results.
 
-    Observability (all opt-in, zero-cost when off):
+    ``instruments`` (:class:`repro.obs.instruments.Instruments`) names the
+    opt-in observability layers; each one that is on is built for this run
+    and its frozen result lands on the returned :class:`RunResult`.  Off
+    layers cost nothing.  The runner owns the tracer that ``audit`` (in
+    memory) and ``trace_dir`` (one JSONL file per run) need.  The other
+    arguments hold what cannot travel in a picklable spec:
 
-    * ``tracer`` -- a :class:`repro.obs.trace.Tracer`; ad lifecycle, query
-      spans and churn events are recorded into it;
-    * ``profile`` -- install a :class:`repro.obs.profile.Profiler` as the
-      engine observer and attach the resulting ``RunProfile`` to the
-      returned :class:`RunResult` (also implied by ``tracer``);
-    * ``collect_diagnostics`` -- snapshot ASAP cache diagnostics into
-      ``RunResult.cache_diagnostics`` after the replay (ASAP runs only);
-    * ``audit`` -- trace the run (an internal keep-in-memory tracer is
-      created unless one is passed) and run the invariant auditor
-      (:func:`repro.obs.audit.audit_run`) over it, attaching the
-      :class:`~repro.obs.audit.AuditReport` and the run fingerprint to
-      the result;
-    * ``telemetry`` -- ``True`` (a default-windowed accumulator is
-      created) or a :class:`repro.obs.telemetry.Telemetry` instance; the
-      streaming aggregates (windowed load, quantile sketches, hotspot
-      heavy hitters) are frozen into ``RunResult.telemetry`` as a
-      :class:`~repro.obs.telemetry.TelemetrySummary` -- the constant-
-      memory alternative to full tracing;
-    * ``probes`` -- schedule periodic protocol-state snapshots
-      (:class:`repro.obs.probes.ProbeRecorder`, cadence
-      ``config.probe_interval_s``) and freeze them into
-      ``RunResult.probes`` as a mergeable
-      :class:`~repro.obs.probes.ProbeSummary`; snapshots are read-only,
-      so results are identical with probes on or off;
+    * ``tracer`` -- an open :class:`repro.obs.trace.Tracer` to record into
+      instead (it also switches profiling on; ``audit`` needs it built
+      with ``keep=True``);
     * ``progress`` -- optional ``callable(str)``; receives the rendered
       run profile when profiling is on;
     * ``phase_times`` -- optional dict filled with wall-clock phase
       durations (``setup_s``: substrate/topology/workload construction
       and warm-up scheduling; ``replay_s``: the engine run).  Benchmarks
       use the split to gate on simulated time rather than one-off
-      content synthesis.
+      content synthesis;
+    * ``status_path`` / ``status_fn`` -- live status sinks of the
+      telemetry layer (see :class:`repro.obs.telemetry.Telemetry`); the
+      snapshots are transient and never change the result.
     """
-    t_phase = time.perf_counter()
-    streams = RandomStreams(seed=config.seed)
-    if audit and tracer is None:
-        tracer = Tracer(keep=True)
-    tracer = tracer if tracer is not None else NULL_TRACER
-    if audit and (not tracer.enabled or not tracer.keep):
-        raise ValueError(
-            "audit=True needs the trace records in memory; pass an enabled "
-            "Tracer built with keep=True (streaming can be enabled alongside)."
+    with ExitStack() as stack:
+        if tracer is None and instruments.trace_dir is not None:
+            os.makedirs(instruments.trace_dir, exist_ok=True)
+            path = os.path.join(instruments.trace_dir, cell_trace_name(config))
+            fh = stack.enter_context(open(path, "w"))
+            tracer = Tracer(stream=fh, keep=instruments.audit)
+        elif tracer is None:
+            tracer = Tracer(keep=True) if instruments.audit else NULL_TRACER
+        elif instruments.audit and (not tracer.enabled or not tracer.keep):
+            raise ValueError(
+                "audit needs the trace records in memory; pass an enabled "
+                "Tracer built with keep=True (streaming can be enabled alongside)."
+            )
+
+        t_phase = time.perf_counter()
+        streams = RandomStreams(seed=config.seed)
+
+        # --- substrate -------------------------------------------------------
+        # The physical network is fully determined by (params, seed) and its
+        # lazy materialisation is order-independent, so runs share one cached
+        # instance (see repro.network.substrate) with bit-identical results.
+        network = latency = None
+        if config.use_physical_network:
+            substrate = get_substrate(seed=config.seed)
+            network, latency = substrate.network, substrate.latency
+        topology = build_topology(
+            config.topology,
+            config.n_peers,
+            rng=streams.get("topology"),
+            network=network,
+        )
+        overlay = Overlay(topology, latency)
+
+        # --- workload --------------------------------------------------------
+        dist = synthesize_content(config.edonkey, streams.get("content"))
+        trace = generate_trace(dist, config.trace, streams.get("trace"))
+        content = dist.index
+
+        # --- algorithm -------------------------------------------------------
+        ledger = BandwidthLedger()
+        algorithm = build_algorithm(
+            config, overlay, content, ledger, streams.get("algorithm"),
+            dist.interests,
         )
 
-    # --- substrate -------------------------------------------------------
-    # The physical network is fully determined by (params, seed) and its
-    # lazy materialisation is order-independent, so runs share one cached
-    # instance (see repro.network.substrate) with bit-identical results.
-    network = latency = None
-    if config.use_physical_network:
-        substrate = get_substrate(seed=config.seed)
-        network, latency = substrate.network, substrate.latency
-    topology = build_topology(
-        config.topology, config.n_peers, rng=streams.get("topology"), network=network
-    )
-    overlay = Overlay(topology, latency)
+        if tracer.enabled:
+            algorithm.set_tracer(tracer)
 
-    # --- workload ---------------------------------------------------------
-    dist = synthesize_content(config.edonkey, streams.get("content"))
-    trace = generate_trace(dist, config.trace, streams.get("trace"))
-    content = dist.index
+        tel: Optional[Telemetry] = None
+        if instruments.telemetry:
+            tel = Telemetry(
+                status_path=status_path, status_fn=status_fn, label=cell_label(config)
+            )
+            algorithm.set_telemetry(tel)
 
-    # --- algorithm ---------------------------------------------------------
-    ledger = BandwidthLedger()
-    algorithm = build_algorithm(
-        config, overlay, content, ledger, streams.get("algorithm"), dist.interests
-    )
+        # --- replay ----------------------------------------------------------
+        engine = SimulationEngine()
+        if tel is not None:
+            engine.set_telemetry(tel)
+        profiler: Optional[Profiler] = None
+        if instruments.profile or tracer.enabled:
+            profiler = Profiler(warmup_s=config.warmup_s, tracer=tracer)
+            engine.set_observer(profiler)
+        if config.model_keepalives:
+            from repro.network.keepalive import KeepaliveTraffic
 
-    if tracer.enabled:
-        algorithm.set_tracer(tracer)
+            KeepaliveTraffic(
+                engine, overlay, ledger, period_s=config.keepalive_period_s
+            )
+        algorithm.warmup(engine, start=0.0, duration=config.warmup_s)
 
-    tel: Optional[Telemetry] = None
-    if telemetry:
-        tel = telemetry if isinstance(telemetry, Telemetry) else Telemetry()
-        if not tel.enabled:
-            tel = None
-    if tel is not None:
-        algorithm.set_telemetry(tel)
+        downloads = None
+        if config.model_downloads:
+            from repro.workload.downloads import DownloadModel
 
-    # --- replay ------------------------------------------------------------
-    engine = SimulationEngine()
-    if tel is not None:
-        engine.set_telemetry(tel)
-    profiler: Optional[Profiler] = None
-    if profile or tracer.enabled:
-        profiler = Profiler(warmup_s=config.warmup_s, tracer=tracer)
-        engine.set_observer(profiler)
-    if config.model_keepalives:
-        from repro.network.keepalive import KeepaliveTraffic
+            downloads = DownloadModel(ledger, streams.get("downloads"))
 
-        KeepaliveTraffic(
-            engine, overlay, ledger, period_s=config.keepalive_period_s
-        )
-    algorithm.warmup(engine, start=0.0, duration=config.warmup_s)
+        outcomes: List[SearchOutcome] = []
+        live_tracker = LiveCountTracker(initial=overlay.live_count())
 
-    downloads = None
-    if config.model_downloads:
-        from repro.workload.downloads import DownloadModel
+        def handle(event) -> None:
+            now = engine.now
+            if isinstance(event, QueryEvent):
+                outcome = algorithm.search(event.node, event.terms, now)
+                outcomes.append(outcome)
+                if downloads is not None and outcome.success:
+                    downloads.on_search_success(now)
+            elif isinstance(event, ContentChangeEvent):
+                doc = content.document(event.doc_id)
+                if event.added:
+                    content.place(event.node, event.doc_id, notify=False)
+                else:
+                    content.remove(event.node, event.doc_id, notify=False)
+                if tracer.enabled:
+                    tracer.event(
+                        "churn",
+                        "content_add" if event.added else "content_remove",
+                        now,
+                        node=int(event.node),
+                        doc_id=int(event.doc_id),
+                    )
+                algorithm.on_content_change(event.node, doc, event.added, now)
+            elif isinstance(event, JoinEvent):
+                overlay.join(event.node)
+                live_tracker.record_change(now, +1)
+                if tracer.enabled:
+                    tracer.event(
+                        "churn", "join", now,
+                        node=int(event.node), live=overlay.live_count(),
+                    )
+                if tel is not None:
+                    tel.record_churn(now, joined=True)
+                algorithm.on_join(event.node, now)
+            elif isinstance(event, LeaveEvent):
+                overlay.leave(event.node)
+                live_tracker.record_change(now, -1)
+                if tracer.enabled:
+                    tracer.event(
+                        "churn", "leave", now,
+                        node=int(event.node), live=overlay.live_count(),
+                    )
+                if tel is not None:
+                    tel.record_churn(now, joined=False)
+                algorithm.on_leave(event.node, now)
+            else:  # pragma: no cover - trace types are closed
+                raise TypeError(f"unknown trace event {type(event).__name__}")
 
-        downloads = DownloadModel(ledger, streams.get("downloads"))
+        for event in trace.events:
+            engine.schedule_at(
+                config.warmup_s + event.time, lambda e=event: handle(e), name="trace"
+            )
+        recorder = None
+        if instruments.probes:
+            from repro.obs.probes import ProbeRecorder
 
-    outcomes: List[SearchOutcome] = []
-    live_tracker = LiveCountTracker(initial=overlay.live_count())
+            recorder = ProbeRecorder(config.probe_interval_s, label=cell_label(config))
+            recorder.attach(
+                engine, algorithm, until=config.warmup_s + trace.duration + 1.0
+            )
+        if phase_times is not None:
+            now_wall = time.perf_counter()
+            phase_times["setup_s"] = now_wall - t_phase
+            t_phase = now_wall
+        engine.run(until=config.warmup_s + trace.duration + 1.0)
+        if phase_times is not None:
+            phase_times["replay_s"] = time.perf_counter() - t_phase
 
-    def handle(event) -> None:
-        now = engine.now
-        if isinstance(event, QueryEvent):
-            outcome = algorithm.search(event.node, event.terms, now)
-            outcomes.append(outcome)
-            if downloads is not None and outcome.success:
-                downloads.on_search_success(now)
-        elif isinstance(event, ContentChangeEvent):
-            doc = content.document(event.doc_id)
-            if event.added:
-                content.place(event.node, event.doc_id, notify=False)
-            else:
-                content.remove(event.node, event.doc_id, notify=False)
-            if tracer.enabled:
-                tracer.event(
-                    "churn",
-                    "content_add" if event.added else "content_remove",
-                    now,
-                    node=int(event.node),
-                    doc_id=int(event.doc_id),
-                )
-            algorithm.on_content_change(event.node, doc, event.added, now)
-        elif isinstance(event, JoinEvent):
-            overlay.join(event.node)
-            live_tracker.record_change(now, +1)
-            if tracer.enabled:
-                tracer.event(
-                    "churn", "join", now,
-                    node=int(event.node), live=overlay.live_count(),
-                )
-            if tel is not None:
-                tel.record_churn(now, joined=True)
-            algorithm.on_join(event.node, now)
-        elif isinstance(event, LeaveEvent):
-            overlay.leave(event.node)
-            live_tracker.record_change(now, -1)
-            if tracer.enabled:
-                tracer.event(
-                    "churn", "leave", now,
-                    node=int(event.node), live=overlay.live_count(),
-                )
-            if tel is not None:
-                tel.record_churn(now, joined=False)
-            algorithm.on_leave(event.node, now)
-        else:  # pragma: no cover - trace types are closed
-            raise TypeError(f"unknown trace event {type(event).__name__}")
+        # --- collect ---------------------------------------------------------
+        t_start = int(config.warmup_s)
+        t_end = int(np.ceil(config.warmup_s + trace.duration)) + 1
+        live_counts = live_tracker.counts(t_start, t_end)
 
-    for event in trace.events:
-        engine.schedule_at(
-            config.warmup_s + event.time, lambda e=event: handle(e), name="trace"
-        )
-    recorder = None
-    if probes:
-        from repro.obs.probes import ProbeRecorder
+        run_profile = None
+        if profiler is not None:
+            run_profile = profiler.finish(engine)
+            run_profile.peak_rss_mb = peak_rss_mb()
+            arena = getattr(algorithm, "arena", None)
+            if arena is not None:
+                run_profile.arena = arena.stats()
+            if progress is not None:
+                progress(run_profile.format_table())
+        diagnostics = None
+        if instruments.diagnostics and isinstance(algorithm, AsapSearch):
+            from repro.asap.diagnostics import diagnose
 
-        recorder = ProbeRecorder(
-            config.probe_interval_s,
-            label=f"{config.algorithm}/{config.topology}/seed{config.seed}",
-        )
-        recorder.attach(
-            engine, algorithm, until=config.warmup_s + trace.duration + 1.0
-        )
-    if phase_times is not None:
-        now_wall = time.perf_counter()
-        phase_times["setup_s"] = now_wall - t_phase
-        t_phase = now_wall
-    engine.run(until=config.warmup_s + trace.duration + 1.0)
-    if phase_times is not None:
-        phase_times["replay_s"] = time.perf_counter() - t_phase
+            diagnostics = diagnose(algorithm)
 
-    # --- collect ------------------------------------------------------------
-    t_start = int(config.warmup_s)
-    t_end = int(np.ceil(config.warmup_s + trace.duration)) + 1
-    live_counts = live_tracker.counts(t_start, t_end)
-
-    run_profile = None
-    if profiler is not None:
-        run_profile = profiler.finish(engine)
-        run_profile.peak_rss_mb = peak_rss_mb()
-        arena = getattr(algorithm, "arena", None)
-        if arena is not None:
-            run_profile.arena = arena.stats()
-        if progress is not None:
-            progress(run_profile.format_table())
-    diagnostics = None
-    if collect_diagnostics and isinstance(algorithm, AsapSearch):
-        from repro.asap.diagnostics import diagnose
-
-        diagnostics = diagnose(algorithm)
-
-    result = RunResult(
-        algorithm=algorithm.name,
-        topology=config.topology,
-        n_peers=config.n_peers,
-        outcomes=outcomes,
-        ledger=ledger,
-        load_categories=algorithm.load_categories,
-        live_counts=live_counts,
-        t_start=t_start,
-        t_end=t_end,
-        profile=run_profile,
-        cache_diagnostics=diagnostics,
-    )
-    if recorder is not None:
-        result.probes = recorder.summary()
-    if tel is not None:
-        result.telemetry = tel.summary(
+        result = RunResult(
+            algorithm=algorithm.name,
+            topology=config.topology,
+            n_peers=config.n_peers,
+            outcomes=outcomes,
             ledger=ledger,
+            load_categories=algorithm.load_categories,
             live_counts=live_counts,
             t_start=t_start,
             t_end=t_end,
-            load_categories=algorithm.load_categories,
+            profile=run_profile,
+            cache_diagnostics=diagnostics,
         )
-    if audit:
-        from repro.obs.audit import audit_run
+        if recorder is not None:
+            result.probes = recorder.summary()
+        if tel is not None:
+            result.telemetry = tel.summary(
+                ledger=ledger,
+                live_counts=live_counts,
+                t_start=t_start,
+                t_end=t_end,
+                load_categories=algorithm.load_categories,
+            )
+        if instruments.audit:
+            from repro.obs.audit import audit_run
 
-        report = audit_run(tracer.records, result, config)
-        result.audit = report
-        result.fingerprint = report.fingerprint
-    return result
+            report = audit_run(tracer.records, result, config)
+            result.audit = report
+            result.fingerprint = report.fingerprint
+        return result

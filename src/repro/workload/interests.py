@@ -146,13 +146,6 @@ class InterestState:
                 out |= self.matrix[:, topic]
         return out
 
-    def topic_bits(self, topics: Iterable[int]) -> int:
-        """The topic set as a bitmask (pairs with ``bitmasks`` AND-tests)."""
-        bits = 0
-        for topic in topics:
-            bits |= 1 << topic
-        return bits
-
 
 def class_node_counts(
     node_classes: Sequence[Iterable[int]], n_classes: int = N_CLASSES

@@ -22,6 +22,7 @@ isolation.  All cases run with churn enabled.
 import numpy as np
 import pytest
 
+from repro.obs import Instruments
 from repro.search.flooding import flood_reach, flood_reach_reference
 from repro.sim import kernels
 from repro.simulation.config import scaled_config
@@ -103,7 +104,7 @@ class TestFloodKernelDifferential:
 
 # ----------------------------------------------------------- run-level equal
 def run_fingerprint(config):
-    result = run_experiment(config, audit=True)
+    result = run_experiment(config, Instruments(audit=True))
     assert result.audit is not None and result.audit.ok
     return result.fingerprint
 
@@ -134,7 +135,7 @@ class TestSerialVsParallelFingerprints:
             for algo in ("flooding", "expanding_ring", "asap_fld", "asap_rw")
         ]
         serial = [run_fingerprint(c) for c in configs]
-        outcomes = run_cells(configs, jobs=2, audit=True)
+        outcomes = run_cells(configs, jobs=2, instruments=Instruments(audit=True))
         parallel = [r.fingerprint for r in outcomes]
         assert serial == parallel
 

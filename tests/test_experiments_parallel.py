@@ -11,6 +11,7 @@ import pytest
 from repro.experiments.figures import ExperimentGrid, ExperimentScale
 from repro.experiments.parallel import CellFailure, resolve_jobs, run_cells
 from repro.experiments.runall import build_report
+from repro.obs import Instruments
 from repro.simulation import run_replications, scaled_config
 
 
@@ -77,7 +78,9 @@ class TestRunCellsDeterminism:
             assert s.summarize() == p.summarize()
 
     def test_profiles_travel_back(self):
-        (outcome,) = run_cells([_tiny("flooding")], jobs=2, profile=True)
+        (outcome,) = run_cells(
+            [_tiny("flooding")], jobs=2, instruments=Instruments(profile=True)
+        )
         assert outcome.profile is not None
         assert outcome.profile.events > 0
 

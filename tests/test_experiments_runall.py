@@ -4,6 +4,7 @@ import pytest
 
 from repro.experiments import ExperimentScale
 from repro.experiments.runall import build_report, main
+from repro.obs import Instruments
 
 TINY = ExperimentScale(
     n_peers=120,
@@ -50,7 +51,7 @@ class TestAuditSection:
             use_physical_network=False,
             algorithms=("flooding", "random_walk", "asap_rw"),
             topologies=("random",),
-            audit=True,
+            instruments=Instruments(audit=True),
         )
         grid = ExperimentGrid(scale)
         report = build_report(scale, grid=grid)
@@ -74,7 +75,7 @@ class TestTelemetrySection:
             use_physical_network=False,
             algorithms=("flooding", "random_walk", "asap_rw"),
             topologies=("random",),
-            telemetry=True,
+            instruments=Instruments(telemetry=True),
         )
         grid = ExperimentGrid(scale)
         report = build_report(scale, grid=grid)
@@ -94,7 +95,7 @@ class TestTelemetrySection:
             use_physical_network=False,
             algorithms=("flooding", "random_walk", "asap_rw"),
             topologies=("random",),
-            telemetry=True,
+            instruments=Instruments(telemetry=True),
         )
         build_report(scale, live=lines.append)
         assert lines  # per-cell status reached the sink

@@ -5,6 +5,7 @@ from dataclasses import replace as dc_replace
 
 import pytest
 
+from repro.obs import Instruments
 from repro.obs.audit import AuditViolation, audit_run, run_fingerprint
 from repro.obs.trace import Tracer
 from repro.sim.metrics import TrafficCategory
@@ -28,7 +29,7 @@ def _cfg(algorithm, topology="random", seed=0, **kw):
 
 def _traced_run(config):
     tracer = Tracer()
-    result = run_experiment(config, tracer=tracer, audit=True)
+    result = run_experiment(config, Instruments(audit=True), tracer=tracer)
     return tracer, result
 
 
@@ -44,7 +45,7 @@ def asap_run():
 @pytest.mark.parametrize("algorithm", ALGOS)
 def test_clean_runs_have_zero_violations(algorithm, topology):
     config = _cfg(algorithm, topology)
-    result = run_experiment(config, audit=True)
+    result = run_experiment(config, Instruments(audit=True))
     assert result.audit is not None
     assert result.audit.ok, result.audit.format_table()
     assert result.fingerprint == result.audit.fingerprint
@@ -58,7 +59,7 @@ def test_audit_statuses_reflect_applicability(asap_run):
     assert checks["confirmation_discipline"] == "pass"
     assert checks["churn_consistency"] == "pass"
     # Baselines skip the ASAP-only checks.
-    flood = run_experiment(_cfg("flooding"), audit=True)
+    flood = run_experiment(_cfg("flooding"), Instruments(audit=True))
     assert flood.audit.checks["confirmation_discipline"] == "skipped"
 
 
@@ -67,7 +68,7 @@ def test_audit_rejects_keep_false_tracer(tmp_path):
 
     tracer = Tracer(stream=io.StringIO(), keep=False)
     with pytest.raises(ValueError, match="keep=True"):
-        run_experiment(_cfg("flooding"), tracer=tracer, audit=True)
+        run_experiment(_cfg("flooding"), Instruments(audit=True), tracer=tracer)
 
 
 # ---------------------------------------------------------- fault injection
@@ -208,15 +209,15 @@ def test_confirmation_bytes_mismatch_fires(asap_run):
 
 # ------------------------------------------------------------- fingerprints
 def test_fingerprint_deterministic_across_reruns():
-    a = run_experiment(_cfg("asap_rw", seed=3), audit=True)
-    b = run_experiment(_cfg("asap_rw", seed=3), audit=True)
+    a = run_experiment(_cfg("asap_rw", seed=3), Instruments(audit=True))
+    b = run_experiment(_cfg("asap_rw", seed=3), Instruments(audit=True))
     assert a.fingerprint == b.fingerprint
     assert len(a.fingerprint) == 32  # blake2b digest_size=16, hex
 
 
 def test_fingerprint_changes_with_seed():
-    a = run_experiment(_cfg("flooding", seed=3), audit=True)
-    b = run_experiment(_cfg("flooding", seed=4), audit=True)
+    a = run_experiment(_cfg("flooding", seed=3), Instruments(audit=True))
+    b = run_experiment(_cfg("flooding", seed=4), Instruments(audit=True))
     assert a.fingerprint != b.fingerprint
 
 

@@ -12,6 +12,7 @@ from repro.obs.metrics import (
     diff_flat,
     flatten,
 )
+from repro.obs import Instruments
 from repro.obs.report import build_registry, main, render_diff
 from repro.obs.trace import Tracer
 from repro.simulation.config import scaled_config
@@ -206,7 +207,7 @@ def tiny_result():
     )
     tracer = Tracer()
     result = run_experiment(
-        config, tracer=tracer, profile=True, collect_diagnostics=True
+        config, Instruments(profile=True, diagnostics=True), tracer=tracer
     )
     return result, tracer
 

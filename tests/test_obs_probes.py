@@ -22,12 +22,12 @@ import math
 import numpy as np
 import pytest
 
+from repro.obs import Instruments, merge_all
 from repro.obs.probes import (
     PROBE_SCHEMA_VERSION,
     ProbeRecorder,
     ProbeSummary,
     check_arena_health,
-    merge_probe_summaries,
     pow2_sketch,
     snapshot_state,
 )
@@ -86,9 +86,9 @@ def test_pow2_sketch_empty_and_order_independent():
 # ------------------------------------------------- cross-backend equality
 def test_state_bit_identical_arena_vs_reference():
     cfg = _config(n_peers=250, n_queries=350, seed=1)
-    arena_run = run_experiment(cfg, probes=True)
+    arena_run = run_experiment(cfg, Instruments(probes=True))
     with kernels.reference_mode():
-        ref_run = run_experiment(cfg, probes=True)
+        ref_run = run_experiment(cfg, Instruments(probes=True))
     assert len(arena_run.probes.ticks) >= 2
     # Tick-by-tick: the comparable state section is identical...
     for ta, tr in zip(arena_run.probes.ticks, ref_run.probes.ticks):
@@ -107,8 +107,8 @@ def test_state_bit_identical_arena_vs_reference():
 
 def test_probes_do_not_change_run_results():
     cfg = _config(n_peers=150, n_queries=250, seed=2)
-    on = run_experiment(cfg, probes=True, audit=True)
-    off = run_experiment(cfg, probes=False, audit=True)
+    on = run_experiment(cfg, Instruments(probes=True, audit=True))
+    off = run_experiment(cfg, Instruments(audit=True))
     assert on.fingerprint == off.fingerprint
     assert [o.success for o in on.outcomes] == [o.success for o in off.outcomes]
     assert on.probes is not None and off.probes is None
@@ -119,10 +119,10 @@ def test_merged_summary_bit_identical_serial_vs_jobs2():
     from repro.experiments.parallel import run_cells
 
     configs = [_config(n_peers=120, n_queries=200, seed=s) for s in (0, 1)]
-    serial = run_cells(configs, jobs=1, probes=True)
-    parallel = run_cells(configs, jobs=2, probes=True)
-    merged_serial = merge_probe_summaries(r.probes for r in serial)
-    merged_parallel = merge_probe_summaries(r.probes for r in parallel)
+    serial = run_cells(configs, jobs=1, instruments=Instruments(probes=True))
+    parallel = run_cells(configs, jobs=2, instruments=Instruments(probes=True))
+    merged_serial = merge_all(r.probes for r in serial)
+    merged_parallel = merge_all(r.probes for r in parallel)
     assert merged_serial.fingerprint() == merged_parallel.fingerprint()
     assert merged_serial.cells == 2
     assert merged_serial.labels == [
@@ -135,8 +135,8 @@ def test_merged_summary_bit_identical_serial_vs_jobs2():
 def test_merge_aligns_ticks_and_folds_sketches():
     cfg_a = _config(n_peers=120, n_queries=200, seed=0)
     cfg_b = _config(n_peers=120, n_queries=200, seed=1)
-    a = run_experiment(cfg_a, probes=True).probes
-    b = run_experiment(cfg_b, probes=True).probes
+    a = run_experiment(cfg_a, Instruments(probes=True)).probes
+    b = run_experiment(cfg_b, Instruments(probes=True)).probes
     merged = a.merge(b)
     assert merged.cells == 2
     # Shared ticks fold: counters sum, sketches merge.
@@ -152,10 +152,10 @@ def test_merge_aligns_ticks_and_folds_sketches():
         assert sm.count == sa.count + sb.count
         assert sm.max == max(sa.max, sb.max)
     # The merge is associative with the left fold used by run_cells.
-    assert merge_probe_summaries([a, b]).fingerprint() == merged.fingerprint()
-    assert merge_probe_summaries([None, a, None, b]) is not None
-    assert merge_probe_summaries([]) is None
-    assert merge_probe_summaries([None]) is None
+    assert merge_all([a, b]).fingerprint() == merged.fingerprint()
+    assert merge_all([None, a, None, b]) is not None
+    assert merge_all([]) is None
+    assert merge_all([None]) is None
 
 
 def test_merge_rejects_interval_mismatch():
@@ -167,7 +167,7 @@ def test_merge_rejects_interval_mismatch():
 
 def test_summary_roundtrip_and_schema():
     cfg = _config(n_peers=120, n_queries=150, seed=0)
-    summary = run_experiment(cfg, probes=True).probes
+    summary = run_experiment(cfg, Instruments(probes=True)).probes
     doc = summary.to_dict()
     assert doc["schema"] == PROBE_SCHEMA_VERSION
     back = ProbeSummary.from_dict(doc)
@@ -179,7 +179,7 @@ def test_summary_roundtrip_and_schema():
 # ----------------------------------------------------------- snapshot body
 def test_snapshot_state_contents():
     cfg = _config(n_peers=150, n_queries=250, seed=3)
-    summary = run_experiment(cfg, probes=True).probes
+    summary = run_experiment(cfg, Instruments(probes=True)).probes
     assert summary.ticks, "expected at least one probe tick"
     for k, tick in enumerate(summary.ticks, start=1):
         assert tick["t"] == pytest.approx(15.0 * k)
@@ -206,7 +206,7 @@ def test_snapshot_state_contents():
 
 def test_snapshot_state_non_asap_algorithm():
     cfg = _config(algorithm="flooding", n_peers=100, n_queries=150, seed=0)
-    summary = run_experiment(cfg, probes=True).probes
+    summary = run_experiment(cfg, Instruments(probes=True)).probes
     assert summary.ticks
     tick = summary.ticks[0]
     assert "coverage" not in tick  # flooding keeps no ad state
@@ -383,5 +383,5 @@ def test_arena_health_under_churn_unbounded_caches():
 def test_check_arena_health_reference_backend_is_trivial():
     with kernels.reference_mode():
         cfg = _config(n_peers=100, n_queries=100, seed=0)
-        result = run_experiment(cfg, probes=True)
+        result = run_experiment(cfg, Instruments(probes=True))
     assert result.probes.ticks  # the run itself probed fine

@@ -111,6 +111,33 @@ def test_telemetry_replications_merge(tmp_path):
     assert data["totals"]["queries"] == 24
 
 
+def test_run_replications_simulate_each_seed_once(tmp_path, monkeypatch):
+    # The in-process run of --seed is one of the N replications: only the
+    # other N-1 seeds may be simulated again.
+    import repro.experiments.parallel as parallel_mod
+    import repro.simulation.runner as runner_mod
+
+    seeds = []
+    real = runner_mod.run_experiment
+
+    def counting(config, *args, **kwargs):
+        seeds.append(config.seed)
+        return real(config, *args, **kwargs)
+
+    monkeypatch.setattr(runner_mod, "run_experiment", counting)
+    monkeypatch.setattr(parallel_mod, "run_experiment", counting)
+    out = tmp_path / "run-rep"
+    code = main([
+        "run", *COMMON, "--seed", "0",
+        "--replications", "3", "--jobs", "1", "--out", str(out),
+    ])
+    assert code == 0
+    assert seeds == [0, 1, 2]
+    metrics = json.loads((out / "metrics.json").read_text())["metrics"]
+    runs = [m for m in metrics if m["name"] == "repro_replication_runs"]
+    assert runs[0]["value"] == 3
+
+
 def _write_metrics(path, value):
     path.write_text(json.dumps({
         "metrics": [

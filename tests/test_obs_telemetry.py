@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.experiments.parallel import run_cells
+from repro.obs import Instruments, merge_all
 from repro.obs.telemetry import (
     LogBucketSketch,
     NULL_TELEMETRY,
@@ -24,7 +25,6 @@ from repro.obs.telemetry import (
     TELEMETRY_SCHEMA_VERSION,
     Telemetry,
     TelemetrySummary,
-    merge_summaries,
     quantile_nearest_rank,
 )
 from repro.simulation import run_experiment, run_replications, scaled_config
@@ -252,10 +252,10 @@ def _synthetic_summary(seed: int) -> TelemetrySummary:
 
 class TestMergeSemantics:
     def test_empty_merge_is_identity(self):
-        assert merge_summaries([]) is None
-        assert merge_summaries([None, None]) is None
+        assert merge_all([]) is None
+        assert merge_all([None, None]) is None
         s = _synthetic_summary(0)
-        assert merge_summaries([None, s]) is s
+        assert merge_all([None, s]) is s
 
     def test_merge_is_associative_in_exact_regime(self):
         a, b, c = (_synthetic_summary(i) for i in range(3))
@@ -307,18 +307,20 @@ class TestSerialParallelBitEquality:
         return [_tiny(seed=s) for s in (0, 1, 2)]
 
     def test_per_cell_and_merged_summaries_identical(self, configs):
-        serial = run_cells(configs, jobs=1, telemetry=True)
-        parallel = run_cells(configs, jobs=2, telemetry=True)
+        serial = run_cells(configs, jobs=1, instruments=Instruments(telemetry=True))
+        parallel = run_cells(configs, jobs=2, instruments=Instruments(telemetry=True))
         for s, p in zip(serial, parallel):
             assert s.telemetry.to_json() == p.telemetry.to_json()
-        merged_s = merge_summaries(r.telemetry for r in serial)
-        merged_p = merge_summaries(r.telemetry for r in parallel)
+        merged_s = merge_all(r.telemetry for r in serial)
+        merged_p = merge_all(r.telemetry for r in parallel)
         assert merged_s.to_json() == merged_p.to_json()
         assert merged_s.fingerprint() == merged_p.fingerprint()
 
     def test_replications_merge_matches_manual_fold(self, configs):
-        rep = run_replications(configs[0], n_seeds=2, jobs=2, telemetry=True)
-        assert rep.telemetry.to_json() == merge_summaries(
+        rep = run_replications(
+            configs[0], n_seeds=2, jobs=2, instruments=Instruments(telemetry=True)
+        )
+        assert rep.telemetry.to_json() == merge_all(
             rep.telemetries
         ).to_json()
         assert rep.telemetry.cells == 2
@@ -330,7 +332,7 @@ class TestSerialParallelBitEquality:
 class TestRunExperimentTelemetry:
     @pytest.fixture(scope="class")
     def result(self):
-        return run_experiment(_tiny(), telemetry=True)
+        return run_experiment(_tiny(), Instruments(telemetry=True))
 
     def test_default_is_off(self):
         assert run_experiment(_tiny(n_queries=5)).telemetry is None

@@ -3,10 +3,12 @@ determinism across serial and --jobs N execution."""
 
 import pytest
 
-from repro.experiments.parallel import cell_trace_name, run_cells
+from repro.experiments.parallel import run_cells
+from repro.obs import Instruments
 from repro.obs.audit import audit_run
 from repro.obs.trace import read_trace
 from repro.simulation import run_replications, scaled_config
+from repro.simulation.runner import cell_trace_name
 
 
 def _cfg(algorithm, seed):
@@ -25,8 +27,12 @@ def serial_and_parallel(tmp_path_factory):
     configs = [_cfg("flooding", 0), _cfg("asap_rw", 0), _cfg("asap_rw", 1)]
     serial_dir = tmp_path_factory.mktemp("traces-serial")
     par_dir = tmp_path_factory.mktemp("traces-par")
-    serial = run_cells(configs, jobs=1, audit=True, trace_dir=str(serial_dir))
-    parallel = run_cells(configs, jobs=2, audit=True, trace_dir=str(par_dir))
+    serial = run_cells(
+        configs, jobs=1, instruments=Instruments(audit=True, trace_dir=str(serial_dir))
+    )
+    parallel = run_cells(
+        configs, jobs=2, instruments=Instruments(audit=True, trace_dir=str(par_dir))
+    )
     return configs, serial, serial_dir, parallel, par_dir
 
 
@@ -71,7 +77,9 @@ def test_trace_filenames_are_deterministic():
 
 def test_replications_collect_audits_and_fingerprints():
     config = _cfg("flooding", 0)
-    summary = run_replications(config, n_seeds=2, jobs=2, audit=True)
+    summary = run_replications(
+        config, n_seeds=2, jobs=2, instruments=Instruments(audit=True)
+    )
     assert len(summary.audits) == 2
     assert all(report.ok for report in summary.audits)
     assert len(set(summary.fingerprints)) == 2  # one per seed, all distinct

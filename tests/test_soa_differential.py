@@ -33,6 +33,7 @@ from repro.asap.ads import Ad, AdType
 from repro.asap.arena import AdsArena, ArenaRepository, CacherIndex, CacherSet
 from repro.asap.repository import AdsRepository
 from repro.asap.store import SourceFilterStore
+from repro.obs import Instruments
 from repro.obs.probes import check_arena_health
 from repro.sim import kernels
 from repro.sim.random import RandomStreams
@@ -356,9 +357,9 @@ class TestArena:
 def run_fingerprint(config, reference=False):
     if reference:
         with kernels.reference_mode():
-            result = run_experiment(config, audit=True)
+            result = run_experiment(config, Instruments(audit=True))
     else:
-        result = run_experiment(config, audit=True)
+        result = run_experiment(config, Instruments(audit=True))
     assert result.audit is not None and result.audit.ok
     return result.fingerprint
 
@@ -425,5 +426,5 @@ class TestAcceptanceScale:
             for seed in (5, 6)
         ]
         serial = [run_fingerprint(c) for c in configs]
-        outcomes = run_cells(configs, jobs=2, audit=True)
+        outcomes = run_cells(configs, jobs=2, instruments=Instruments(audit=True))
         assert serial == [r.fingerprint for r in outcomes]
