@@ -21,7 +21,7 @@ count (full-ad wire size).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import FrozenSet, Tuple
 
 from repro.bloom.compressed import compressed_filter_size, patch_size

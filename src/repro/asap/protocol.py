@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -41,7 +41,7 @@ import numpy as np
 from repro.asap.ads import Ad, AdType
 from repro.asap.arena import AdsArena, ArenaRepository, CacherIndex, pair_key
 from repro.asap.delivery import AdForwarder, make_forwarder
-from repro.asap.repository import AdsRepository, CacheEntry
+from repro.asap.repository import AdsRepository
 from repro.asap.store import SourceFilterStore
 from repro.workload.interests import InterestState
 from repro.search.base import MessageSizes, SearchAlgorithm, SearchOutcome

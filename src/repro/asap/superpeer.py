@@ -22,11 +22,11 @@ hierarchy trade-off this module lets you measure.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Sequence
 
 import numpy as np
 
-from repro.asap.protocol import AsapParams, AsapSearch
+from repro.asap.protocol import AsapSearch
 from repro.network.overlay import Overlay
 from repro.search.base import SearchOutcome
 from repro.sim.metrics import TrafficCategory

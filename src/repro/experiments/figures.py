@@ -14,13 +14,12 @@ comparisons the reproduction validates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.experiments.report import format_bar_chart, format_breakdown, format_grid_table
 from repro.obs.instruments import Instruments
-from repro.sim.metrics import TrafficCategory
 from repro.sim.random import RandomStreams
 from repro.simulation.config import ALGORITHMS, TOPOLOGIES, RunConfig, paper_config, scaled_config
 from repro.simulation.results import RunResult

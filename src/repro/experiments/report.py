@@ -7,7 +7,7 @@ optional ASCII bar chart for quick visual comparison in terminal output.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 __all__ = ["format_grid_table", "format_bar_chart", "format_breakdown"]
 

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-import numpy as np
-
 from repro.network.overlay import Overlay
 from repro.sim.engine import PeriodicTimer, SimulationEngine
 from repro.sim.metrics import BandwidthLedger, TrafficCategory

@@ -22,7 +22,7 @@ feeding per-edge overlay latencies and confirmation RTTs.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable
+from typing import Iterable
 
 import numpy as np
 

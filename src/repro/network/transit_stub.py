@@ -29,16 +29,20 @@ scaled-down experiment that touches 50 domains never pays for 1,296.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, List, Set, Tuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra, shortest_path
+from scipy.sparse.csgraph import dijkstra
 
 from repro.sim.random import RandomStreams
 
 __all__ = ["TransitStubNetwork", "TransitStubParams", "StubDomain"]
+
+#: Hop count of an unreachable pair.
+_UNREACHABLE = np.iinfo(np.int32).max
 
 
 @dataclass(frozen=True)
@@ -117,17 +121,40 @@ def _connect_components(
         adjacency[v].add(u)
 
 
+@lru_cache(maxsize=None)
+def _node_pairs(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    pairs = np.triu_indices(n, k=1)
+    for index in pairs:
+        index.flags.writeable = False  # one copy, shared by every caller
+    return pairs
+
+
+def _draw_adjacency(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
+    """Erdos-Renyi G(n, p) as a dense symmetric boolean matrix.
+
+    One uniform draw per node pair, in ``triu_indices`` order.  The graph
+    is not yet forced connected: see :func:`_connect_components`.
+    """
+    adjacency = np.zeros((n, n), dtype=bool)
+    if n > 1 and p > 0:
+        iu, ju = _node_pairs(n)
+        mask = rng.random(len(iu)) < p
+        adjacency[iu[mask], ju[mask]] = True
+        adjacency |= adjacency.T
+    return adjacency
+
+
+def _adjacency_sets(adjacency: np.ndarray) -> List[Set[int]]:
+    # Ascending insertion: the order the pair loop of the draw adds them in,
+    # which fixes the set iteration order _connect_components walks.
+    return [set(np.flatnonzero(row).tolist()) for row in adjacency]
+
+
 def _random_graph(
     n: int, p: float, rng: np.random.Generator
 ) -> List[Set[int]]:
     """Erdos-Renyi G(n, p) as adjacency sets, forced connected."""
-    adjacency: List[Set[int]] = [set() for _ in range(n)]
-    if n > 1 and p > 0:
-        iu, ju = np.triu_indices(n, k=1)
-        mask = rng.random(len(iu)) < p
-        for u, v in zip(iu[mask], ju[mask]):
-            adjacency[int(u)].add(int(v))
-            adjacency[int(v)].add(int(u))
+    adjacency = _adjacency_sets(_draw_adjacency(n, p, rng))
     _connect_components(n, adjacency, rng)
     return adjacency
 
@@ -248,9 +275,15 @@ class TransitStubNetwork:
         p = self.params
         rng = self._streams.get(f"stub-domain-{domain_id}")
         size = p.stub_nodes_per_domain
-        adjacency = _random_graph(size, p.p_stub_edge, rng)
+        adjacency = _draw_adjacency(size, p.p_stub_edge, rng)
+        hops = _hop_matrix(adjacency)
+        if hops[0].max() == _UNREACHABLE:
+            # Rare at the paper's density: chain the components with the
+            # same draws the set-based graph makes, then recount hops.
+            sets = _adjacency_sets(adjacency)
+            _connect_components(size, sets, rng)
+            hops = _bfs_all_pairs(size, sets)
         gateway = int(rng.integers(size))
-        hops = _bfs_all_pairs(size, adjacency)
         domain = StubDomain(
             domain_id=domain_id,
             first_node=p.n_transit + domain_id * size,
@@ -277,25 +310,32 @@ class TransitStubNetwork:
         )
 
 
-def _bfs_all_pairs(n: int, adjacency: List[Set[int]]) -> np.ndarray:
-    """All-pairs hop counts on a small unweighted graph (used per stub domain).
+def _hop_matrix(adjacency: np.ndarray) -> np.ndarray:
+    """All-pairs hop counts of a small graph given as a boolean matrix.
 
-    Delegates to scipy's C-level shortest-path kernel: registering a
-    10,000-node experiment touches ~1,000 stub domains, and per-domain
-    Python BFS dominated profiles.  Unreachable pairs map to INT32_MAX
-    (stub domains are forced connected, so this is belt and braces).
+    A frontier BFS from every node at once: each round is one float32
+    matrix product (exact, since entries count at most n neighbours).
+    Unreachable pairs stay at INT32_MAX.
     """
-    rows: List[int] = []
-    cols: List[int] = []
+    n = len(adjacency)
+    step = adjacency.astype(np.float32)
+    hops = np.full((n, n), _UNREACHABLE, dtype=np.int32)
+    np.fill_diagonal(hops, 0)
+    reached = np.eye(n, dtype=bool)
+    frontier = reached
+    d = 0
+    while True:
+        frontier = (frontier.astype(np.float32) @ step > 0) & ~reached
+        if not frontier.any():
+            return hops
+        d += 1
+        hops[frontier] = d
+        reached |= frontier
+
+
+def _bfs_all_pairs(n: int, adjacency: List[Set[int]]) -> np.ndarray:
+    """All-pairs hop counts of a graph given as adjacency sets."""
+    dense = np.zeros((n, n), dtype=bool)
     for u, nbrs in enumerate(adjacency):
-        for v in nbrs:
-            rows.append(u)
-            cols.append(v)
-    graph = csr_matrix(
-        (np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(n, n)
-    )
-    dist = shortest_path(graph, method="D", directed=False, unweighted=True)
-    hops = np.full((n, n), np.iinfo(np.int32).max, dtype=np.int32)
-    finite = np.isfinite(dist)
-    hops[finite] = dist[finite].astype(np.int32)
-    return hops
+        dense[u, list(nbrs)] = True
+    return _hop_matrix(dense)

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import abc
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 

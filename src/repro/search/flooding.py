@@ -22,8 +22,7 @@ Both are exact for the protocol above, at NumPy speed.
 
 from __future__ import annotations
 
-import math
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 

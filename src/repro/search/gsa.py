@@ -43,8 +43,6 @@ import math
 from collections import defaultdict
 from typing import Dict, Optional, Sequence
 
-import numpy as np
-
 from repro.search.base import SearchAlgorithm, SearchOutcome
 from repro.sim.metrics import TrafficCategory
 

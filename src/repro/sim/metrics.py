@@ -17,10 +17,9 @@ path is called millions of times).
 from __future__ import annotations
 
 import enum
-import math
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 

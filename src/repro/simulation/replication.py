@@ -10,7 +10,7 @@ deviation and extremes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Sequence
 
 import numpy as np

@@ -34,7 +34,7 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from repro.asap.protocol import AsapParams, AsapSearch
+from repro.asap.protocol import AsapSearch
 from repro.obs.instruments import Instruments
 from repro.obs.profile import Profiler, peak_rss_mb
 from repro.obs.telemetry import Telemetry

@@ -19,8 +19,8 @@ the active algorithm as a listener.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, FrozenSet, Iterable, List, Set, Tuple
 
 __all__ = ["ContentIndex", "Document"]
 
@@ -109,6 +109,10 @@ class ContentIndex:
     # --------------------------------------------------------------- queries
     def holders(self, doc_id: int) -> FrozenSet[int]:
         return frozenset(self._holders.get(doc_id, ()))
+
+    def holder_sets(self) -> Dict[int, Set[int]]:
+        """A private copy of every document's holder set, in registration order."""
+        return {doc_id: set(hs) for doc_id, hs in self._holders.items()}
 
     def docs_on(self, node: int) -> FrozenSet[int]:
         return frozenset(self._node_docs.get(node, ()))

@@ -22,13 +22,14 @@ queries range from highly selective (title token included) to broad
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Set
 
 import numpy as np
 
 from repro.workload.content import ContentIndex, Document
 from repro.workload.interests import CLASS_WEIGHTS, N_CLASSES, assign_interests
+from repro.workload.sampling import zipf_sampler
 
 __all__ = [
     "ContentDistribution",
@@ -67,6 +68,16 @@ class EdonkeyParams:
             raise ValueError("single_copy_fraction must be in (0, 1]")
         if self.avg_docs_per_peer <= 0:
             raise ValueError("avg_docs_per_peer must be positive")
+        if self.max_copies < 2:
+            raise ValueError("max_copies must be >= 2")
+        if self.vocab_per_class < 1:
+            raise ValueError("vocab_per_class must be >= 1")
+        if not 1 <= self.min_class_keywords <= self.max_class_keywords:
+            raise ValueError("need 1 <= min_class_keywords <= max_class_keywords")
+        if not 1 <= self.min_interests <= self.max_interests <= N_CLASSES:
+            raise ValueError(
+                f"need 1 <= min_interests <= max_interests <= {N_CLASSES}"
+            )
 
 
 @dataclass
@@ -157,10 +168,7 @@ def make_document(
     """Create a document: unique title token + Zipf-drawn class keywords."""
     n_kw = int(rng.integers(min_kw, max_kw + 1))
     v = len(class_vocab)
-    ranks = np.arange(1, v + 1, dtype=np.float64)
-    weights = ranks**-zipf_s
-    weights /= weights.sum()
-    idx = rng.choice(v, size=min(n_kw, v), replace=False, p=weights)
+    idx = zipf_sampler(v, zipf_s).distinct(rng, min(n_kw, v))
     keywords = (f"title{doc_id}",) + tuple(class_vocab[i] for i in sorted(idx))
     return Document(doc_id=doc_id, class_id=class_id, keywords=keywords)
 
@@ -197,6 +205,8 @@ def synthesize_content(
         for c in interests[node]:
             sharers_by_class[c].append(node)
     class_has_sharers = np.array([len(s) > 0 for s in sharers_by_class])
+    # Arrays for the multi-copy draws: rng.choice converts a list per call.
+    pool_arrays = [np.array(s, dtype=np.int64) for s in sharers_by_class]
 
     n_sharers = int(np.count_nonzero(~free_rider))
     n_docs = max(1, int(round(n_sharers * params.avg_docs_per_peer / params.mean_copies)))
@@ -212,12 +222,11 @@ def synthesize_content(
     # actually have interested sharers to host them.
     class_weights = CLASS_WEIGHTS * class_has_sharers
     class_weights = class_weights / class_weights.sum()
-    doc_classes = rng.choice(N_CLASSES, size=n_docs, p=class_weights)
+    doc_classes = rng.choice(N_CLASSES, size=n_docs, p=class_weights).tolist()
 
     vocab = _build_vocab(N_CLASSES, params.vocab_per_class)
     index = ContentIndex()
-    for doc_id in range(n_docs):
-        c = int(doc_classes[doc_id])
+    for doc_id, (c, copies) in enumerate(zip(doc_classes, copy_counts.tolist())):
         doc = make_document(
             doc_id,
             c,
@@ -229,15 +238,15 @@ def synthesize_content(
         )
         index.register_document(doc)
         pool = sharers_by_class[c]
-        k = min(int(copy_counts[doc_id]), len(pool))
+        k = min(copies, len(pool))
         if k == 0:
             continue
         if k == 1:
             holders = [pool[int(rng.integers(len(pool)))]]
         else:
-            holders = rng.choice(pool, size=k, replace=False).tolist()
+            holders = rng.choice(pool_arrays[c], size=k, replace=False).tolist()
         for node in holders:
-            index.place(int(node), doc_id, notify=False)
+            index.place(node, doc_id, notify=False)
 
     return ContentDistribution(
         params=params,

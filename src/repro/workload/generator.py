@@ -22,6 +22,7 @@ import numpy as np
 
 from repro.workload.content import Document
 from repro.workload.edonkey import ContentDistribution, make_document
+from repro.workload.sampling import zipf_sampler
 from repro.workload.trace import (
     ContentChangeEvent,
     JoinEvent,
@@ -60,6 +61,11 @@ class TraceParams:
             raise ValueError("churn counts must be non-negative")
         if self.max_terms < 1:
             raise ValueError("max_terms must be >= 1")
+        for name in ("title_term_prob", "addition_fraction", "min_live_fraction"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1]")
+        if self.query_zipf_s < 0:
+            raise ValueError("query_zipf_s must be >= 0")
 
 
 class _GeneratorState:
@@ -72,10 +78,7 @@ class _GeneratorState:
         self.live = np.ones(n, dtype=bool)
         # Private holder copies (placements replayed later must not be
         # affected by generation-time bookkeeping).
-        self.holders: Dict[int, Set[int]] = {
-            doc.doc_id: set(self.index.holders(doc.doc_id))
-            for doc in self.index.all_documents()
-        }
+        self.holders: Dict[int, Set[int]] = self.index.holder_sets()
         self.node_docs: Dict[int, Set[int]] = {}
         for doc_id, hs in self.holders.items():
             for node in hs:
@@ -113,9 +116,7 @@ def _zipf_index(rng: np.random.Generator, n: int, s: float) -> int:
     """Sample an index in [0, n) with P(i) ~ (i+1)^-s (rank-Zipf)."""
     if n == 1:
         return 0
-    ranks = np.arange(1, n + 1, dtype=np.float64)
-    w = ranks**-s
-    return int(rng.choice(n, p=w / w.sum()))
+    return zipf_sampler(n, s).one(rng)
 
 
 def _pick_query(
@@ -175,11 +176,8 @@ def _pick_content_change(
     rng: np.random.Generator,
     time: float,
 ) -> Optional[ContentChangeEvent]:
-    live_sharers = [
-        n
-        for n in np.nonzero(state.live)[0]
-        if not state.dist.free_rider[n]
-    ]
+    # A list, not an array: rng.shuffle must draw as it does on a list.
+    live_sharers = np.flatnonzero(state.live & ~state.dist.free_rider).tolist()
     if not live_sharers:
         return None
     want_add = rng.random() < params.addition_fraction
@@ -187,15 +185,15 @@ def _pick_content_change(
         # Removal: a live node that still shares something.
         rng.shuffle(live_sharers)
         for node in live_sharers[:50]:
-            docs = state.node_docs.get(int(node))
+            docs = state.node_docs.get(node)
             if docs:
                 doc_id = int(rng.choice(sorted(docs)))
-                state.remove_document(int(node), doc_id)
+                state.remove_document(node, doc_id)
                 return ContentChangeEvent(
-                    time=time, node=int(node), doc_id=doc_id, added=False
+                    time=time, node=node, doc_id=doc_id, added=False
                 )
         want_add = True  # nothing removable; fall through to an addition
-    node = int(live_sharers[rng.integers(len(live_sharers))])
+    node = live_sharers[rng.integers(len(live_sharers))]
     sharing = state.dist.sharing_classes(node) or state.dist.interests[node]
     class_id = int(rng.choice(sorted(sharing)))
     doc = make_document(

@@ -15,9 +15,11 @@ documented synthesis choice (DESIGN.md section 3).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Set
+from typing import Iterable, List, Sequence, Set
 
 import numpy as np
+
+from repro.workload.sampling import WeightedSampler
 
 __all__ = [
     "CLASS_WEIGHTS",
@@ -57,17 +59,14 @@ CLASS_WEIGHTS = np.array(
 assert abs(CLASS_WEIGHTS.sum() - 1.0) < 1e-9
 assert len(CLASS_WEIGHTS) == N_CLASSES
 
+_CLASS_SAMPLER = WeightedSampler(CLASS_WEIGHTS / CLASS_WEIGHTS.sum())
 
-def sample_classes(
-    rng: np.random.Generator,
-    n: int,
-    weights: np.ndarray | None = None,
-) -> np.ndarray:
+
+def sample_classes(rng: np.random.Generator, n: int) -> np.ndarray:
     """Sample ``n`` distinct classes by popularity weight."""
-    w = CLASS_WEIGHTS if weights is None else np.asarray(weights, dtype=np.float64)
-    if n > len(w):
-        raise ValueError(f"cannot sample {n} distinct classes from {len(w)}")
-    return rng.choice(len(w), size=n, replace=False, p=w / w.sum())
+    if n > N_CLASSES:
+        raise ValueError(f"cannot sample {n} distinct classes from {N_CLASSES}")
+    return np.array(_CLASS_SAMPLER.distinct(rng, n), dtype=np.int64)
 
 
 def assign_interests(
@@ -76,7 +75,6 @@ def assign_interests(
     rng: np.random.Generator,
     min_interests: int = 1,
     max_interests: int = 4,
-    weights: np.ndarray | None = None,
 ) -> List[Set[int]]:
     """Assign each node a small set of interest classes.
 
@@ -88,12 +86,12 @@ def assign_interests(
     """
     if len(free_rider) != n_nodes:
         raise ValueError("free_rider mask length mismatch")
-    if not 1 <= min_interests <= max_interests:
-        raise ValueError("need 1 <= min_interests <= max_interests")
+    if not 1 <= min_interests <= max_interests <= N_CLASSES:
+        raise ValueError(f"need 1 <= min_interests <= max_interests <= {N_CLASSES}")
     interests: List[Set[int]] = []
     for _ in range(n_nodes):
         k = int(rng.integers(min_interests, max_interests + 1))
-        interests.append(set(int(c) for c in sample_classes(rng, k, weights)))
+        interests.append(set(_CLASS_SAMPLER.distinct(rng, k)))
     return interests
 
 

@@ -8,8 +8,8 @@ dispatches on type.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, List, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Iterator, List, Tuple, Union
 
 __all__ = [
     "ContentChangeEvent",

@@ -83,6 +83,31 @@ class TestParams:
         with pytest.raises(ValueError):
             EdonkeyParams(avg_docs_per_peer=0)
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"min_class_keywords": 0},
+            {"min_class_keywords": 4, "max_class_keywords": 3},
+            {"vocab_per_class": 0},
+            {"min_interests": 0},
+            {"min_interests": 3, "max_interests": 2},
+            {"max_interests": N_CLASSES + 1},
+            {"max_copies": 1},
+        ],
+        ids=[
+            "min_kw_zero",
+            "min_kw_above_max",
+            "empty_vocab",
+            "min_interests_zero",
+            "min_interests_above_max",
+            "max_interests_above_classes",
+            "max_copies_one",
+        ],
+    )
+    def test_rejected_at_construction(self, fields):
+        with pytest.raises(ValueError):
+            EdonkeyParams(**fields)
+
 
 class TestSynthesis:
     @pytest.fixture(scope="class")

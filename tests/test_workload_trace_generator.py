@@ -218,3 +218,19 @@ class TestGenerateTrace:
             TraceParams(n_joins=-1)
         with pytest.raises(ValueError):
             TraceParams(max_terms=0)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("title_term_prob", 1.5),
+            ("title_term_prob", -0.1),
+            ("addition_fraction", 1.01),
+            ("addition_fraction", -0.5),
+            ("min_live_fraction", 2.0),
+            ("min_live_fraction", -0.1),
+            ("query_zipf_s", -0.5),
+        ],
+    )
+    def test_rejected_at_construction(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TraceParams(**{field: value})
